@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -223,17 +224,17 @@ def cmd_dist(args) -> int:
 def cmd_lens_bounds(args) -> int:
     try:
         lens = lens_mod.normalize(args.p, args.q)
-    except ValueError as exc:
+        reps = sorted(lens_mod.equivalent_reps(lens), key=lambda r: r.q)
+        doc = {
+            "p": lens.p,
+            "q": lens.q,
+            "reps": [{"p": r.p, "q": r.q} for r in reps],
+            "twisted": _bound_doc(lens_mod.twisted_bound(lens, args.cap)),
+            "untwisted": _bound_doc(lens_mod.untwisted_bound(lens, args.cap)),
+        }
+    except ValueError as exc:  # invalid lens space, or a cap below its complexity
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    reps = sorted(lens_mod.equivalent_reps(lens), key=lambda r: r.q)
-    doc = {
-        "p": lens.p,
-        "q": lens.q,
-        "reps": [{"p": r.p, "q": r.q} for r in reps],
-        "twisted": _bound_doc(lens_mod.twisted_bound(lens, args.cap)),
-        "untwisted": _bound_doc(lens_mod.untwisted_bound(lens, args.cap)),
-    }
     sys.stdout.write(_dump_json(doc))
     return _EXIT_OK
 
@@ -261,10 +262,10 @@ def cmd_build(args) -> int:
             return _EXIT_INPUT
         try:
             lens = lens_mod.normalize(args.p, args.q)
-        except ValueError as exc:
+            path = construct.path_from_lens(lens, args.mode, args.cap)
+        except ValueError as exc:  # invalid lens space, or a cap below its complexity
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INPUT
-        path = construct.path_from_lens(lens, args.mode, args.cap)
     diagram = construct.build_diagram(path)
     link = construct.kirby_link(path)
     csum = construct.classify(path)
@@ -278,7 +279,11 @@ def cmd_table(args) -> int:
     if args.pmax < 2:
         print("error: --pmax must be at least 2", file=sys.stderr)
         return _EXIT_INPUT
-    rows = lens_mod.prop_bound_table(args.pmax, args.cap)
+    try:
+        rows = lens_mod.prop_bound_table(args.pmax, args.cap)
+    except ValueError as exc:  # a cap below some lens space's complexity
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
@@ -320,32 +325,33 @@ def _wrap_segments(p: int, q: int, x_phase: Fraction, y_phase: Fraction):
 
     The curve is t -> (p*t + x_phase, q*t + y_phase) mod 1 for t in
     [0, 1]; it is cut at the t where either coordinate crosses an
-    integer.  Exact rational breakpoints keep the output deterministic.
+    integer.  Every breakpoint and endpoint lies on the lattice 1/u, so
+    the cuts are enumerated in exact integers and each endpoint is
+    returned as the correctly rounded float n / u.
     """
     if p == 0 and q == 0:
         return []
-    breaks = {Fraction(0), Fraction(1)}
-    for step, phase in ((p, x_phase), (q, y_phase)):
+    u = math.lcm(max(abs(p), 1) * x_phase.denominator, max(abs(q), 1) * y_phase.denominator)
+    axes = [
+        (step, phase.numerator * (u // phase.denominator))
+        for step, phase in ((p, x_phase), (q, y_phase))
+    ]
+    breaks = {0, u}
+    for step, phase in axes:
         if step == 0:
             continue
-        lo = min(phase, step + phase)
-        hi = max(phase, step + phase)
-        k = int(lo) - 1
-        while k <= hi + 1:
-            t = Fraction(k - phase, step)
-            if 0 < t < 1:
-                breaks.add(t)
-            k += 1
+        # Crossings of the integer k at t = (k*u - phase) / (step*u), 0 < t < 1.
+        lo, hi = sorted((phase, step * u + phase))
+        breaks.update((k * u - phase) // step for k in range(lo // u + 1, -(-hi // u)))
     ts = sorted(breaks)
     segments = []
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        xm = (p * tm + x_phase) % 1
-        ym = (q * tm + y_phase) % 1
-        x0 = xm + p * (t0 - tm)
-        y0 = ym + q * (t0 - tm)
-        x1 = xm + p * (t1 - tm)
-        y1 = ym + q * (t1 - tm)
+    for a0, a1 in zip(ts, ts[1:]):
+        ends = []
+        for step, phase in axes:
+            # Shift by the floor of the coordinate at the segment midpoint.
+            shift = phase - (step * (a0 + a1) + 2 * phase) // (2 * u) * u
+            ends.append(((step * a0 + shift) / u, (step * a1 + shift) / u))
+        (x0, x1), (y0, y1) = ends
         segments.append((x0, y0, x1, y1))
     return segments
 
@@ -423,11 +429,25 @@ def _render_svg(doc: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_render(args) -> int:
+def _load_diagram(file: str) -> dict | None:
+    """The diagram document in `file`, or None after an error on stderr."""
     try:
-        doc = json.loads(Path(args.input).read_text())
+        doc = json.loads(Path(file).read_text())
     except (OSError, ValueError) as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(doc, dict):
+        print(
+            f"error: malformed diagram: expected a JSON object, got {type(doc).__name__}",
+            file=sys.stderr,
+        )
+        return None
+    return doc
+
+
+def cmd_render(args) -> int:
+    doc = _load_diagram(args.input)
+    if doc is None:
         return _EXIT_INPUT
     try:
         genus = _unpack_int(doc["genus_per_copy"])
@@ -447,10 +467,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    doc = _load_diagram(args.input)
+    if doc is None:
+        return _EXIT_INPUT
     try:
-        doc = json.loads(Path(args.input).read_text())
         path = _path_from_doc(doc["path"])
-    except (OSError, ValueError, KeyError, InvalidSlopeError) as exc:
+    except (ValueError, KeyError, InvalidSlopeError) as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -4,16 +4,16 @@ Used as an independent oracle for the connect-sum classifier: the linking
 matrix of a framed link presents the intersection form of the ambient
 4-manifold, and connect sums of sphere bundles are recognized by rank,
 signature, parity and unimodularity alone.  Everything is computed in
-exact arithmetic: determinants by fraction-free Bareiss elimination,
-signatures by congruence diagonalization over the rationals, elementary
-divisors by integer Smith reduction.
+exact integer arithmetic: one symmetric fraction-free Bareiss pass gives
+the leading minors of a congruent matrix, from which the determinant is
+the last minor and the signature follows by Jacobi's rule; elementary
+divisors come from integer Smith reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import construct
 from .construct import ConnectSum, DualPath
@@ -44,72 +44,76 @@ class SymIntMatrix:
         return len(self.entries)
 
 
-def det_int(matrix: SymIntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    n = matrix.order
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix.entries]
-    sign = 1
+def _leading_minors(matrix: SymIntMatrix) -> list[int]:
+    """Nonzero leading principal minors d_1, d_2, ... of a congruent matrix.
+
+    Symmetric fraction-free Bareiss elimination.  The active block holds
+    the bordered minors det M[L+i, L+j] over the pivots L eliminated so
+    far; each step replaces it by (pivot*m_ij - m_i0*m_0j) // prev, an
+    exact division by Sylvester's identity.  A zero pivot is replaced by
+    a unimodular congruence on active indices: a symmetric swap with a
+    nonzero diagonal entry, else x_0 -> x_0 + x_j, which gives the pivot
+    2*m_0j.  By multilinearity of the minors the block transforms the
+    same way, so the division stays exact.  An index whose row is zero in
+    the active block spans part of the radical and is dropped, so the
+    list has one entry per unit of rank.
+    """
+    block = [list(row) for row in matrix.entries]
+    minors: list[int] = []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
+    while block:
+        if block[0][0] == 0:
+            k = next((i for i in range(1, len(block)) if block[i][i]), None)
+            if k is not None:
+                block[0], block[k] = block[k], block[0]
+                for row in block:
+                    row[0], row[k] = row[k], row[0]
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: the quotient is a (k+1)-minor of m.
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                k = next((j for j, x in enumerate(block[0]) if x), None)
+                if k is None:  # rank deficit
+                    del block[0]
+                    for row in block:
+                        del row[0]
+                    continue
+                for row in block:
+                    row[0] += row[k]
+                block[0] = [x + y for x, y in zip(block[0], block[k])]
+        top = block[0]
+        pivot = top[0]
+        tail = top[1:]
+        block = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in block[1:]
+        ]
+        minors.append(pivot)
+        prev = pivot
+    return minors
+
+
+def det_int(matrix: SymIntMatrix) -> int:
+    """Exact determinant: the last leading minor when the rank is full.
+
+    Congruence by a unimodular matrix leaves the determinant unchanged.
+    """
+    minors = _leading_minors(matrix)
+    if len(minors) < matrix.order:
+        return 0
+    return minors[-1] if minors else 1
 
 
 def signature(matrix: SymIntMatrix) -> int:
-    """(# positive) - (# negative) diagonal entries after congruence.
+    """(# positive) - (# negative) eigenvalues, by Jacobi's rule.
 
-    Diagonalizes x -> P x with exact rationals, using symmetric pivoting
-    and, when the whole remaining diagonal vanishes, the basis change
-    x_i -> x_i + x_j which turns a nonzero off-diagonal entry into the
-    nonzero diagonal entry 2*m_ij.
+    With d_0 = 1 and d_1, d_2, ... the nonzero leading minors of a
+    congruent matrix, each step whose sign agrees with the previous one
+    adds +1 and each sign change adds -1.
     """
-    n = matrix.order
-    m = [[Fraction(x) for x in row] for row in matrix.entries]
-    pos = neg = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                for r in range(n):
-                    m[r][k], m[r][swap] = m[r][swap], m[r][k]
-                m[k], m[swap] = m[swap], m[k]
-            else:
-                mix = next((i for i in range(k + 1, n) if m[k][i] != 0), None)
-                if mix is None:
-                    continue  # row/column k is zero beyond here: rank deficit
-                for r in range(n):
-                    m[r][k] += m[r][mix]
-                for c in range(n):
-                    m[k][c] += m[mix][c]
-        pivot = m[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] == 0:
-                continue
-            f = m[i][k] / pivot
-            for c in range(n):
-                m[i][c] -= f * m[k][c]
-            for r in range(n):
-                m[r][i] -= f * m[r][k]
-    return pos - neg
+    total = 0
+    prev = 1
+    for d in _leading_minors(matrix):
+        total += 1 if (d > 0) == (prev > 0) else -1
+        prev = d
+    return total
 
 
 class Parity(str, Enum):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -88,3 +89,72 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def char_poly_signature(rows):
+    """Signature from the exact characteristic polynomial.
+
+    Faddeev-LeVerrier gives the integer coefficients of det(xI - A).
+    A symmetric matrix has only real eigenvalues, so after the factor
+    x^m of the zero eigenvalues is divided out, Descartes' rule of signs
+    counts the positive roots of p(x) and the negative roots (those of
+    p(-x)) exactly.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]  # coeffs[i] multiplies x^i
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        mk = [
+            [sum(rows[i][t] * mk[t][j] for t in range(n)) + (c if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(rows[i][t] * mk[t][i] for i in range(n) for t in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    m = next(i for i, c in enumerate(coeffs) if c)
+    poly = coeffs[m:]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    positive = sign_changes(poly)
+    negative = sign_changes([c * (-1) ** i for i, c in enumerate(poly)])
+    return positive - negative
+
+
+def wrap_segments_fraction(p, q, x_phase, y_phase):
+    """Rational reference for the SVG wrap segments of the (p, q) line.
+
+    The curve is t -> (p*t + x_phase, q*t + y_phase) mod 1 for t in
+    [0, 1]; it is cut at every t where a coordinate crosses an integer,
+    found by scanning the integers around each coordinate's range.
+    """
+    if p == 0 and q == 0:
+        return []
+    breaks = {Fraction(0), Fraction(1)}
+    for step, phase in ((p, x_phase), (q, y_phase)):
+        if step == 0:
+            continue
+        lo = min(phase, step + phase)
+        hi = max(phase, step + phase)
+        k = int(lo) - 1
+        while k <= hi + 1:
+            t = Fraction(k - phase, step)
+            if 0 < t < 1:
+                breaks.add(t)
+            k += 1
+    ts = sorted(breaks)
+    segments = []
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        xm = (p * tm + x_phase) % 1
+        ym = (q * tm + y_phase) % 1
+        x0 = xm + p * (t0 - tm)
+        y0 = ym + q * (t0 - tm)
+        x1 = xm + p * (t1 - tm)
+        y1 = ym + q * (t1 - tm)
+        segments.append((x0, y0, x1, y1))
+    return segments

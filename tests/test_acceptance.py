@@ -322,3 +322,37 @@ def test_c9_property_suites():
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"property suites took {elapsed:.2f}s"
     report("C9", f"all property suites green in {elapsed:.1f}s")
+
+
+def test_c10_long_walk_consistency():
+    # C7 keeps its desk-scale order limit; this checks the exact forms on
+    # walks far past it, under a budget an O(n^3) integer kernel meets.
+    start = time.perf_counter()
+    long_walks = [
+        ("even walk of L(81,80)", path_from_lens(LensSpace(81, 80), "even")),
+        (
+            "genus-3 dual product",
+            path_product(
+                [
+                    path_from_lens(LensSpace(21, 20), "even"),
+                    path_from_lens(LensSpace(13, 5), "any"),
+                    path_from_lens(LensSpace(11, 10), "even"),
+                ],
+                PathMode.DUAL,
+            ),
+        ),
+    ]
+    orders = []
+    for name, path in long_walks:
+        order = len(kirby_link(path).linking_matrix)
+        report_ = consistency_check(path)
+        assert report_.ok, (name, report_.failures)
+        inv = report_.invariants
+        assert inv.signature == 0
+        assert inv.rank == order and abs(inv.determinant) == 1
+        assert all(d == 1 for d in inv.elementary_divisors)
+        orders.append(order)
+    assert orders[0] == 160 and orders[1] >= 120
+    elapsed = time.perf_counter() - start
+    assert elapsed < 15.0, f"long-walk consistency took {elapsed:.2f}s"
+    report("C10", f"forms agree on long walks of orders {orders} in {elapsed:.1f}s")

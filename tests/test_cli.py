@@ -1,8 +1,12 @@
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from spinebound.cli import main
+import oracles
+from spinebound.cli import _wrap_segments, main
 
 
 def run(capsys, *argv):
@@ -55,6 +59,11 @@ class TestLensBounds:
     def test_invalid_lens(self, capsys):
         code, _, err = run(capsys, "lens-bounds", "4", "2")
         assert code == 1 and "error" in err
+
+    def test_cap_below_endpoint(self, capsys):
+        code, out, err = run(capsys, "lens-bounds", "7", "2", "--cap", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cap 3 is below")
 
 
 class TestBuild:
@@ -119,6 +128,12 @@ class TestBuild:
         code, _, err = run(capsys, "build", "4", "2")
         assert code == 1
 
+    def test_cap_below_endpoint(self, capsys, tmp_path):
+        out_file = tmp_path / "d.json"
+        code, _, err = run(capsys, "build", "7", "2", "--cap", "3", "--out", str(out_file))
+        assert code == 1 and not out_file.exists()
+        assert err.startswith("error: cap 3 is below")
+
 
 class TestTable:
     def test_pmax2_single_row(self, capsys):
@@ -143,6 +158,11 @@ class TestTable:
         run(capsys, "table", "--pmax", "6", "--out", str(a))
         run(capsys, "table", "--pmax", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_cap_below_endpoint(self, capsys):
+        code, out, err = run(capsys, "table", "--pmax", "5", "--cap", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cap 1 is below")
 
 
 class TestRenderAndVerify:
@@ -193,6 +213,46 @@ class TestRenderAndVerify:
         bad.write_text("{not json")
         code, _, _ = run(capsys, "render", str(bad), str(tmp_path / "x.svg"))
         assert code == 1
+
+    def test_render_non_object_json(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        code, _, err = run(capsys, "render", str(bad), str(tmp_path / "x.svg"))
+        assert code == 1
+        assert err.startswith("error: malformed diagram")
+
+    def test_verify_non_object_json(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed diagram")
+
+    def test_render_pinned_bytes(self, capsys, tmp_path):
+        diagram, svg = tmp_path / "d.json", tmp_path / "d.svg"
+        code, _, _ = run(capsys, "build", "19", "7", "--mode", "even", "--out", str(diagram))
+        assert code == 0
+        assert run(capsys, "render", str(diagram), str(svg))[0] == 0
+        # Digest of the SVG written by the exact-rational renderer.
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "2d263e2ed702b9ab4c676eeb710bb5d7586866345b8e21aa3a62b3b6e313b8db"
+        )
+
+    def test_wrap_segments_match_rational_reference(self):
+        rng = random.Random(26)
+        steps = list(range(-80, 81))
+        for trial in range(300):
+            p, q = rng.choice(steps), rng.choice(steps)
+            if trial % 10 == 0:
+                p = 0
+            elif trial % 10 == 1:
+                q = 0
+            phases = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2)]
+            want = [
+                tuple(float(c) for c in seg)
+                for seg in oracles.wrap_segments_fraction(p, q, *phases)
+            ]
+            assert _wrap_segments(p, q, *phases) == want, (p, q, phases)
 
     def test_verify_catches_tampered_framing(self, capsys, diagram_file):
         doc = json.loads(diagram_file.read_text())

@@ -103,6 +103,45 @@ class TestSignature:
             assert signature(SymIntMatrix.from_rows(umu)) == base
 
 
+class TestAgainstCharPoly:
+    """Bareiss-Jacobi signature and det against the characteristic polynomial."""
+
+    @staticmethod
+    def zero_heavy(rng, order):
+        rows = [[0] * order for _ in range(order)]
+        for i in range(order):
+            for j in range(i, order):
+                if rng.random() < 0.6:
+                    rows[i][j] = rows[j][i] = rng.randint(-6, 6)
+        if order >= 2 and rng.random() < 0.4:
+            # duplicate a row and column: a forced rank deficit
+            a, b = rng.sample(range(order), 2)
+            rows[b] = list(rows[a])
+            for row in rows:
+                row[b] = row[a]
+        return rows
+
+    def test_random_zero_heavy(self):
+        rng = random.Random(25)
+        deficient = 0
+        for order in range(0, 9):
+            for _ in range(40):
+                rows = self.zero_heavy(rng, order)
+                m = SymIntMatrix.from_rows(rows)
+                assert signature(m) == oracles.char_poly_signature(rows), rows
+                assert det_int(m) == oracles.cofactor_det(rows), rows
+                deficient += det_int(m) == 0
+        assert deficient >= 60  # the rank-deficit moves were exercised
+
+    def test_kirby_matrices(self):
+        for lens in (LensSpace(7, 2), LensSpace(13, 5)):
+            for mode in ("any", "even"):
+                rows = [list(r) for r in kirby_link(path_from_lens(lens, mode)).linking_matrix]
+                m = SymIntMatrix.from_rows(rows)
+                assert signature(m) == oracles.char_poly_signature(rows) == 0
+                assert det_int(m) == oracles.cofactor_det(rows)
+
+
 class TestParity:
     def test_examples(self):
         assert parity(SymIntMatrix.from_rows([[0, 1], [1, 4]])) is Parity.EVEN
