@@ -42,6 +42,10 @@ _EXIT_INPUT = 1
 _EXIT_VERIFY = 2
 _EXIT_EXHAUSTED = 3
 
+# What reading a JSON document of the wrong shape raises: a missing key, a
+# field of the wrong JSON type, or a value out of its domain.
+_MALFORMED = (KeyError, TypeError, ValueError)
+
 
 def _pack_int(n: int):
     """Ints beyond the float53 range travel as decimal strings."""
@@ -248,7 +252,7 @@ def cmd_build(args) -> int:
     if args.path_file is not None:
         try:
             path = _load_path_file(args.path_file)
-        except (OSError, ValueError, KeyError, InvalidSlopeError) as exc:
+        except (OSError, *_MALFORMED) as exc:
             print(f"error: cannot read walk: {exc}", file=sys.stderr)
             return _EXIT_INPUT
         violations = construct.validate_path(path)
@@ -451,7 +455,7 @@ def cmd_render(args) -> int:
         return _EXIT_INPUT
     try:
         genus = _unpack_int(doc["genus_per_copy"])
-    except (KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     if genus != 1:
@@ -459,7 +463,7 @@ def cmd_render(args) -> int:
         return _EXIT_VERIFY
     try:
         svg = _render_svg(doc)
-    except (KeyError, ValueError, InvalidSlopeError) as exc:
+    except _MALFORMED as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     Path(args.output).write_text(svg)
@@ -472,8 +476,15 @@ def cmd_verify(args) -> int:
         return _EXIT_INPUT
     try:
         path = _path_from_doc(doc["path"])
-    except (ValueError, KeyError, InvalidSlopeError) as exc:
+    except _MALFORMED as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
+    kirby = doc.get("kirby", {})
+    if not isinstance(kirby, dict) or not isinstance(kirby.get("curves", []), list):
+        print(
+            'error: malformed diagram: "kirby" must be an object with a "curves" list',
+            file=sys.stderr,
+        )
         return _EXIT_INPUT
 
     problems: list[str] = []
@@ -492,7 +503,7 @@ def cmd_verify(args) -> int:
         for color in ("blue", "red", "green"):
             if doc.get(color) != expected[color]:
                 problems.append(f"{color} curves do not match the recomputation")
-        file_curves = doc.get("kirby", {}).get("curves", [])
+        file_curves = kirby.get("curves", [])
         for want, got in zip(expected["kirby"]["curves"], file_curves):
             if want != got:
                 problems.append(
@@ -501,7 +512,7 @@ def cmd_verify(args) -> int:
                 )
         if len(file_curves) != len(expected["kirby"]["curves"]):
             problems.append("kirby curve count does not match")
-        if doc.get("kirby", {}).get("linking_matrix") != expected["kirby"]["linking_matrix"]:
+        if kirby.get("linking_matrix") != expected["kirby"]["linking_matrix"]:
             problems.append("linking matrix does not match the recomputation")
         if doc.get("classification") != expected["classification"]:
             problems.append("classification does not match the recomputation")

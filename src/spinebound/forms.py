@@ -5,9 +5,11 @@ matrix of a framed link presents the intersection form of the ambient
 4-manifold, and connect sums of sphere bundles are recognized by rank,
 signature, parity and unimodularity alone.  Everything is computed in
 exact integer arithmetic: one symmetric fraction-free Bareiss pass gives
-the leading minors of a congruent matrix, from which the determinant is
-the last minor and the signature follows by Jacobi's rule; elementary
-divisors come from integer Smith reduction.
+the leading minors of a congruent matrix, from which the rank is their
+count, the determinant is the last minor at full rank and the signature
+follows by Jacobi's rule.  A unimodular form (|det| = 1) has all
+elementary divisors 1; any other form gets them from integer Smith
+reduction.
 """
 
 from __future__ import annotations
@@ -49,45 +51,79 @@ def _leading_minors(matrix: SymIntMatrix) -> list[int]:
 
     Symmetric fraction-free Bareiss elimination.  The active block holds
     the bordered minors det M[L+i, L+j] over the pivots L eliminated so
-    far; each step replaces it by (pivot*m_ij - m_i0*m_0j) // prev, an
-    exact division by Sylvester's identity.  A zero pivot is replaced by
-    a unimodular congruence on active indices: a symmetric swap with a
-    nonzero diagonal entry, else x_0 -> x_0 + x_j, which gives the pivot
-    2*m_0j.  By multilinearity of the minors the block transforms the
-    same way, so the division stays exact.  An index whose row is zero in
-    the active block spans part of the radical and is dropped, so the
-    list has one entry per unit of rank.
+    far; each step replaces it by (pivot*m_ij - m_0i*m_0j) // prev, an
+    exact division by Sylvester's identity.  The block is symmetric, so
+    it is stored as its upper triangle: row i holds the entries j >= i,
+    and each step computes only those.  A zero pivot is replaced by a
+    unimodular congruence on active indices (`_make_pivot`): a symmetric
+    swap with a nonzero diagonal entry, else x_0 -> x_0 + x_j, which
+    gives the pivot 2*m_0j.  By multilinearity of the minors the block
+    transforms the same way, so the division stays exact.  An index
+    whose row is zero in the active block spans part of the radical and
+    is dropped, so the list has one entry per unit of rank.
     """
-    block = [list(row) for row in matrix.entries]
+    tri = [list(row[i:]) for i, row in enumerate(matrix.entries)]
     minors: list[int] = []
     prev = 1
-    while block:
-        if block[0][0] == 0:
-            k = next((i for i in range(1, len(block)) if block[i][i]), None)
-            if k is not None:
-                block[0], block[k] = block[k], block[0]
-                for row in block:
-                    row[0], row[k] = row[k], row[0]
-            else:
-                k = next((j for j, x in enumerate(block[0]) if x), None)
-                if k is None:  # rank deficit
-                    del block[0]
-                    for row in block:
-                        del row[0]
-                    continue
-                for row in block:
-                    row[0] += row[k]
-                block[0] = [x + y for x, y in zip(block[0], block[k])]
-        top = block[0]
+    while tri:
+        if tri[0][0] == 0:
+            k = next((i for i in range(1, len(tri)) if tri[i][0]), None)
+            if k is None and not any(tri[0]):  # rank deficit
+                del tri[0]
+                continue
+            tri = _make_pivot(tri, k)
+        top = tri[0]
         pivot = top[0]
-        tail = top[1:]
-        block = [
-            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-            for row in block[1:]
-        ]
+        rows = []
+        for i, row in enumerate(tri[1:], 1):
+            a = top[i]
+            if a:
+                rows.append([(pivot * x - a * y) // prev for x, y in zip(row, top[i:])])
+            else:  # m_0i = 0: the row is only rescaled
+                rows.append([pivot * x // prev for x in row])
+        tri = rows
         minors.append(pivot)
         prev = pivot
     return minors
+
+
+def _make_pivot(tri: list[list[int]], k: int | None) -> list[list[int]]:
+    """The triangle after the congruence that makes its zero pivot nonzero.
+
+    With a nonzero diagonal entry k, swap indices 0 and k; otherwise add
+    x_k to x_0 for the first k with m_0k != 0.  Both moves act on the
+    full block, so it is expanded here and folded back into a triangle.
+    """
+    n = len(tri)
+    block = [[0] * n for _ in range(n)]
+    for i, row in enumerate(tri):
+        for j, x in enumerate(row, i):
+            block[i][j] = block[j][i] = x
+    if k is not None:
+        block[0], block[k] = block[k], block[0]
+        for row in block:
+            row[0], row[k] = row[k], row[0]
+    else:
+        k = next(j for j, x in enumerate(block[0]) if x)
+        for row in block:
+            row[0] += row[k]
+        block[0] = [x + y for x, y in zip(block[0], block[k])]
+    return [row[i:] for i, row in enumerate(block)]
+
+
+def _det_from_minors(minors: list[int], order: int) -> int:
+    if len(minors) < order:
+        return 0
+    return minors[-1] if minors else 1
+
+
+def _jacobi_signature(minors: list[int]) -> int:
+    total = 0
+    prev = 1
+    for d in minors:
+        total += 1 if (d > 0) == (prev > 0) else -1
+        prev = d
+    return total
 
 
 def det_int(matrix: SymIntMatrix) -> int:
@@ -95,10 +131,7 @@ def det_int(matrix: SymIntMatrix) -> int:
 
     Congruence by a unimodular matrix leaves the determinant unchanged.
     """
-    minors = _leading_minors(matrix)
-    if len(minors) < matrix.order:
-        return 0
-    return minors[-1] if minors else 1
+    return _det_from_minors(_leading_minors(matrix), matrix.order)
 
 
 def signature(matrix: SymIntMatrix) -> int:
@@ -108,12 +141,7 @@ def signature(matrix: SymIntMatrix) -> int:
     congruent matrix, each step whose sign agrees with the previous one
     adds +1 and each sign change adds -1.
     """
-    total = 0
-    prev = 1
-    for d in _leading_minors(matrix):
-        total += 1 if (d > 0) == (prev > 0) else -1
-        prev = d
-    return total
+    return _jacobi_signature(_leading_minors(matrix))
 
 
 class Parity(str, Enum):
@@ -201,11 +229,26 @@ class FormInvariants:
 
 
 def form_invariants(matrix: SymIntMatrix) -> FormInvariants:
-    divisors = tuple(smith_normal_form(matrix))
+    """Rank, determinant, signature, parity and elementary divisors.
+
+    One Bareiss pass gives all but parity: the rank is the number of
+    nonzero leading minors, the determinant is the last of them at full
+    rank, and the signature follows by Jacobi's rule.  At full rank the
+    elementary divisors are positive integers whose product is |det|, so
+    |det| = 1 forces them all to be 1; only in every other case does the
+    Smith reduction run.
+    """
+    minors = _leading_minors(matrix)
+    rank = len(minors)
+    det = _det_from_minors(minors, matrix.order)
+    if abs(det) == 1:
+        divisors = (1,) * rank
+    else:
+        divisors = tuple(smith_normal_form(matrix))
     return FormInvariants(
-        rank=len(divisors),
-        determinant=det_int(matrix),
-        signature=signature(matrix),
+        rank=rank,
+        determinant=det,
+        signature=_jacobi_signature(minors),
         parity=parity(matrix),
         elementary_divisors=divisors,
     )

@@ -295,6 +295,47 @@ class TestRenderAndVerify:
         assert code == 1
 
 
+class TestMalformedNestedFields:
+    """A nested field of the wrong JSON type is an input error, not a traceback."""
+
+    WALK = {
+        "mode": "dual",
+        "systems": [[{"p": 0, "q": 1}], [{"p": 1, "q": 0}], [{"p": 3, "q": 1}]],
+    }
+
+    @staticmethod
+    def write(tmp_path, doc):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        return str(f)
+
+    def assert_input_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_verify_path_not_an_object(self, capsys, tmp_path):
+        self.assert_input_error(capsys, "verify", self.write(tmp_path, {"path": 1}))
+
+    def test_verify_kirby_not_an_object(self, capsys, tmp_path):
+        f = self.write(tmp_path, {"path": self.WALK, "kirby": 3})
+        self.assert_input_error(capsys, "verify", f)
+
+    def test_render_scaffold_not_a_list(self, capsys, tmp_path):
+        f = self.write(tmp_path, {"genus_per_copy": 1, "num_copies": 1, "red": 5})
+        self.assert_input_error(capsys, "render", f, str(tmp_path / "x.svg"))
+
+    def test_build_systems_not_a_list(self, capsys, tmp_path):
+        f = self.write(tmp_path, {"mode": "dual", "systems": 5})
+        out = str(tmp_path / "d.json")
+        self.assert_input_error(capsys, "build", "--path-file", f, "--out", out)
+
+    def test_build_walk_not_an_object(self, capsys, tmp_path):
+        f = self.write(tmp_path, [1])
+        out = str(tmp_path / "d.json")
+        self.assert_input_error(capsys, "build", "--path-file", f, "--out", out)
+
+
 class TestBigIntJson:
     def test_large_framings_round_trip(self, capsys, tmp_path):
         big = 2**60  # needs the decimal-string integer encoding

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,24 @@ def rand_sym(rng, order, lo=-20, hi=20):
         for j in range(i, order):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
     return SymIntMatrix.from_rows(rows)
+
+
+def rand_unimodular(rng, order, shears):
+    """A random product of `shears` row shears x_a += c*x_b, |c| <= 3."""
+    u = [[1 if i == j else 0 for j in range(order)] for i in range(order)]
+    for _ in range(shears):
+        a, b = rng.sample(range(order), 2)
+        c = rng.randint(-3, 3)
+        for k in range(order):
+            u[a][k] += c * u[b][k]
+    return u
+
+
+def congruent(rows, u):
+    """U M U^T."""
+    order = len(rows)
+    um = [[sum(u[i][k] * rows[k][j] for k in range(order)) for j in range(order)] for i in range(order)]
+    return [[sum(um[i][k] * u[j][k] for k in range(order)) for j in range(order)] for i in range(order)]
 
 
 class TestDet:
@@ -90,16 +109,7 @@ class TestSignature:
             order = rng.randint(2, 6)
             m = rand_sym(rng, order, -9, 9)
             base = signature(m)
-            # random unimodular change of basis: product of shears/swaps
-            u = [[1 if i == j else 0 for j in range(order)] for i in range(order)]
-            for _ in range(6):
-                a, b = rng.sample(range(order), 2)
-                c = rng.randint(-3, 3)
-                for k in range(order):
-                    u[a][k] += c * u[b][k]
-            rows = [list(r) for r in m.entries]
-            um = [[sum(u[i][k] * rows[k][j] for k in range(order)) for j in range(order)] for i in range(order)]
-            umu = [[sum(um[i][k] * u[j][k] for k in range(order)) for j in range(order)] for i in range(order)]
+            umu = congruent([list(r) for r in m.entries], rand_unimodular(rng, order, 6))
             assert signature(SymIntMatrix.from_rows(umu)) == base
 
 
@@ -121,6 +131,19 @@ class TestAgainstCharPoly:
                 row[b] = row[a]
         return rows
 
+    @staticmethod
+    def unimodular_image(rng, order):
+        """P^T H P for H a sum of hyperbolic and odd unimodular blocks and P unimodular."""
+        blocks = ([[0, 1], [1, 0]], [[0, 1], [1, 1]], [[1]], [[-1]])
+        rows = [[0] * order for _ in range(order)]
+        i = 0
+        while i < order:
+            block = rng.choice([b for b in blocks if len(b) <= order - i])
+            for r, row in enumerate(block):
+                rows[i + r][i : i + len(row)] = row
+            i += len(block)
+        return congruent(rows, rand_unimodular(rng, order, 3 * order))
+
     def test_random_zero_heavy(self):
         rng = random.Random(25)
         deficient = 0
@@ -140,6 +163,26 @@ class TestAgainstCharPoly:
                 m = SymIntMatrix.from_rows(rows)
                 assert signature(m) == oracles.char_poly_signature(rows) == 0
                 assert det_int(m) == oracles.cofactor_det(rows)
+
+    def test_form_invariants_match_parts(self):
+        """The fused pass agrees with det, signature and Smith form run apart."""
+        rng = random.Random(26)
+        samples = [self.zero_heavy(rng, order) for order in range(0, 9) for _ in range(40)]
+        samples += [self.unimodular_image(rng, order) for order in range(2, 13) for _ in range(8)]
+        kinds = Counter()
+        for rows in samples:
+            m = SymIntMatrix.from_rows(rows)
+            snf = smith_normal_form(m)
+            expected = FormInvariants(len(snf), det_int(m), signature(m), parity(m), tuple(snf))
+            assert form_invariants(m) == expected, rows
+            if len(snf) < m.order:
+                kinds["rank-deficient"] += 1
+            elif abs(expected.determinant) == 1:
+                kinds["dense unimodular"] += sum(x != 0 for r in rows for x in r) > m.order**2 // 2
+            else:
+                kinds["|det| > 1"] += 1
+        assert kinds["dense unimodular"] >= 60, kinds
+        assert kinds["rank-deficient"] >= 60 and kinds["|det| > 1"] >= 60, kinds
 
 
 class TestParity:
