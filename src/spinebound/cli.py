@@ -42,10 +42,6 @@ _EXIT_INPUT = 1
 _EXIT_VERIFY = 2
 _EXIT_EXHAUSTED = 3
 
-# What reading a JSON document of the wrong shape raises: a missing key, a
-# field of the wrong JSON type, or a value out of its domain.
-_MALFORMED = (KeyError, TypeError, ValueError)
-
 
 def _pack_int(n: int):
     """Ints beyond the float53 range travel as decimal strings."""
@@ -58,11 +54,20 @@ def _unpack_int(v) -> int:
     return int(v)
 
 
+def _expect(v, kind: type, what: str):
+    """`v` if it is a JSON object (kind dict) or list, else a ValueError."""
+    if not isinstance(v, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"expected {what} to be {name}, got {type(v).__name__}")
+    return v
+
+
 def _slope_doc(s: Slope) -> dict:
     return {"p": _pack_int(s.p), "q": _pack_int(s.q)}
 
 
 def _slope_from_doc(doc) -> Slope:
+    doc = _expect(doc, dict, "a slope")
     return Slope(_unpack_int(doc["p"]), _unpack_int(doc["q"]))
 
 
@@ -74,8 +79,12 @@ def _path_doc(path: construct.DualPath) -> dict:
 
 
 def _path_from_doc(doc) -> construct.DualPath:
+    doc = _expect(doc, dict, "the walk")
     mode = construct.PathMode(doc["mode"])
-    systems = tuple(tuple(_slope_from_doc(s) for s in sys_) for sys_ in doc["systems"])
+    systems = tuple(
+        tuple(_slope_from_doc(s) for s in _expect(sys_, list, "a curve system"))
+        for sys_ in _expect(doc["systems"], list, '"systems"')
+    )
     return construct.DualPath(systems, mode)
 
 
@@ -252,7 +261,7 @@ def cmd_build(args) -> int:
     if args.path_file is not None:
         try:
             path = _load_path_file(args.path_file)
-        except (OSError, *_MALFORMED) as exc:
+        except (OSError, ValueError, KeyError, InvalidSlopeError) as exc:
             print(f"error: cannot read walk: {exc}", file=sys.stderr)
             return _EXIT_INPUT
         violations = construct.validate_path(path)
@@ -381,6 +390,16 @@ def _render_svg(doc: dict) -> str:
     def origin(copy: int) -> float:
         return _MARGIN + copy * (_SQUARE + _GAP)
 
+    def records(color_name: str) -> list[dict]:
+        recs = _expect(doc[color_name], list, f'"{color_name}"')
+        return [_expect(rec, dict, f"a {color_name} curve") for rec in recs]
+
+    def copy_index(v) -> int:
+        copy = _unpack_int(v)
+        if not 0 <= copy < copies:
+            raise ValueError(f"copy index {copy} outside 0..{copies - 1}")
+        return copy
+
     for k in range(copies):
         parts.append(
             f'<rect x="{_fmt(origin(k))}" y="{_fmt(_MARGIN)}" '
@@ -401,9 +420,9 @@ def _render_svg(doc: dict) -> str:
         )
 
     for color_name, y_frac in (("red", 0.25), ("green", 0.75)):
-        for rec in doc[color_name]:
+        for rec in records(color_name):
             kind = rec["kind"]
-            loc = _unpack_int(rec["location"])
+            loc = copy_index(rec["location"])
             if kind == "longitude":
                 square_line(loc, 0, y_frac, 1, y_frac, _COLORS[color_name])
             elif kind == "meridian":
@@ -417,17 +436,18 @@ def _render_svg(doc: dict) -> str:
             else:
                 raise ValueError(f"unknown scaffold curve kind {kind!r}")
 
-    for rec in doc["blue"]:
+    for rec in records("blue"):
+        copy = copy_index(rec["copy"])
         slope = _slope_from_doc(rec["slope"])
         p = -slope.p if rec["reflected"] else slope.p
         q = slope.q
         if q == 0:
-            square_line(rec["copy"], 0, Fraction(1, 2), 1, Fraction(1, 2), _COLORS["blue"])
+            square_line(copy, 0, Fraction(1, 2), 1, Fraction(1, 2), _COLORS["blue"])
         elif p == 0:
-            square_line(rec["copy"], Fraction(1, 2), 0, Fraction(1, 2), 1, _COLORS["blue"])
+            square_line(copy, Fraction(1, 2), 0, Fraction(1, 2), 1, _COLORS["blue"])
         else:
             for x0, y0, x1, y1 in _wrap_segments(p, q, Fraction(0), Fraction(1, 2)):
-                square_line(rec["copy"], x0, y0, x1, y1, _COLORS["blue"])
+                square_line(copy, x0, y0, x1, y1, _COLORS["blue"])
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -455,7 +475,7 @@ def cmd_render(args) -> int:
         return _EXIT_INPUT
     try:
         genus = _unpack_int(doc["genus_per_copy"])
-    except _MALFORMED as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     if genus != 1:
@@ -463,7 +483,7 @@ def cmd_render(args) -> int:
         return _EXIT_VERIFY
     try:
         svg = _render_svg(doc)
-    except _MALFORMED as exc:
+    except (KeyError, ValueError, InvalidSlopeError) as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     Path(args.output).write_text(svg)
@@ -476,15 +496,10 @@ def cmd_verify(args) -> int:
         return _EXIT_INPUT
     try:
         path = _path_from_doc(doc["path"])
-    except _MALFORMED as exc:
+        kirby = _expect(doc.get("kirby", {}), dict, '"kirby"')
+        _expect(kirby.get("curves", []), list, '"kirby.curves"')
+    except (ValueError, KeyError, InvalidSlopeError) as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    kirby = doc.get("kirby", {})
-    if not isinstance(kirby, dict) or not isinstance(kirby.get("curves", []), list):
-        print(
-            'error: malformed diagram: "kirby" must be an object with a "curves" list',
-            file=sys.stderr,
-        )
         return _EXIT_INPUT
 
     problems: list[str] = []

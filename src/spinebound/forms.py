@@ -7,15 +7,16 @@ signature, parity and unimodularity alone.  Everything is computed in
 exact integer arithmetic: one symmetric fraction-free Bareiss pass gives
 the leading minors of a congruent matrix, from which the rank is their
 count, the determinant is the last minor at full rank and the signature
-follows by Jacobi's rule.  A unimodular form (|det| = 1) has all
-elementary divisors 1; any other form gets them from integer Smith
-reduction.
+follows by Jacobi's rule.  A matrix runs that pass at most once and keeps
+its minors.  A unimodular form (|det| = 1) has all elementary divisors 1;
+any other form gets them from integer Smith reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import construct
 from .construct import ConnectSum, DualPath
@@ -44,6 +45,15 @@ class SymIntMatrix:
     @property
     def order(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def leading_minors(self) -> tuple[int, ...]:
+        """The nonzero leading minors of `_leading_minors`, computed once.
+
+        `det_int`, `signature` and `form_invariants` all read them, so a
+        matrix pays for one elimination however many of them it meets.
+        """
+        return tuple(_leading_minors(self))
 
 
 def _leading_minors(matrix: SymIntMatrix) -> list[int]:
@@ -74,14 +84,10 @@ def _leading_minors(matrix: SymIntMatrix) -> list[int]:
             tri = _make_pivot(tri, k)
         top = tri[0]
         pivot = top[0]
-        rows = []
-        for i, row in enumerate(tri[1:], 1):
-            a = top[i]
-            if a:
-                rows.append([(pivot * x - a * y) // prev for x, y in zip(row, top[i:])])
-            else:  # m_0i = 0: the row is only rescaled
-                rows.append([pivot * x // prev for x in row])
-        tri = rows
+        tri = [
+            [(pivot * x - a * y) // prev for x, y in zip(row, top[i:])]
+            for i, (a, row) in enumerate(zip(top[1:], tri[1:]), 1)
+        ]
         minors.append(pivot)
         prev = pivot
     return minors
@@ -111,27 +117,15 @@ def _make_pivot(tri: list[list[int]], k: int | None) -> list[list[int]]:
     return [row[i:] for i, row in enumerate(block)]
 
 
-def _det_from_minors(minors: list[int], order: int) -> int:
-    if len(minors) < order:
-        return 0
-    return minors[-1] if minors else 1
-
-
-def _jacobi_signature(minors: list[int]) -> int:
-    total = 0
-    prev = 1
-    for d in minors:
-        total += 1 if (d > 0) == (prev > 0) else -1
-        prev = d
-    return total
-
-
 def det_int(matrix: SymIntMatrix) -> int:
     """Exact determinant: the last leading minor when the rank is full.
 
     Congruence by a unimodular matrix leaves the determinant unchanged.
     """
-    return _det_from_minors(_leading_minors(matrix), matrix.order)
+    minors = matrix.leading_minors
+    if len(minors) < matrix.order:
+        return 0
+    return minors[-1] if minors else 1
 
 
 def signature(matrix: SymIntMatrix) -> int:
@@ -141,7 +135,12 @@ def signature(matrix: SymIntMatrix) -> int:
     congruent matrix, each step whose sign agrees with the previous one
     adds +1 and each sign change adds -1.
     """
-    return _jacobi_signature(_leading_minors(matrix))
+    total = 0
+    prev = 1
+    for d in matrix.leading_minors:
+        total += 1 if (d > 0) == (prev > 0) else -1
+        prev = d
+    return total
 
 
 class Parity(str, Enum):
@@ -231,24 +230,21 @@ class FormInvariants:
 def form_invariants(matrix: SymIntMatrix) -> FormInvariants:
     """Rank, determinant, signature, parity and elementary divisors.
 
-    One Bareiss pass gives all but parity: the rank is the number of
-    nonzero leading minors, the determinant is the last of them at full
-    rank, and the signature follows by Jacobi's rule.  At full rank the
-    elementary divisors are positive integers whose product is |det|, so
-    |det| = 1 forces them all to be 1; only in every other case does the
-    Smith reduction run.
+    The signature and the determinant share the matrix's one Bareiss
+    pass.  A nonzero determinant means full rank, and then the elementary
+    divisors are positive integers whose product is |det|; so |det| = 1
+    forces them all to be 1, and only other forms run the Smith reduction.
     """
-    minors = _leading_minors(matrix)
-    rank = len(minors)
-    det = _det_from_minors(minors, matrix.order)
+    sig = signature(matrix)
+    det = det_int(matrix)
     if abs(det) == 1:
-        divisors = (1,) * rank
+        divisors = (1,) * matrix.order
     else:
         divisors = tuple(smith_normal_form(matrix))
     return FormInvariants(
-        rank=rank,
+        rank=len(divisors),
         determinant=det,
-        signature=_jacobi_signature(minors),
+        signature=sig,
         parity=parity(matrix),
         elementary_divisors=divisors,
     )

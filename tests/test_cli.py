@@ -325,6 +325,15 @@ class TestMalformedNestedFields:
         f = self.write(tmp_path, {"genus_per_copy": 1, "num_copies": 1, "red": 5})
         self.assert_input_error(capsys, "render", f, str(tmp_path / "x.svg"))
 
+    @pytest.mark.parametrize("copy", [0.5, -3, 8, "x"])
+    def test_render_blue_copy_invalid(self, capsys, tmp_path, copy):
+        run(capsys, "build", "19", "7", "--mode", "even", "--out", str(tmp_path / "d.json"))
+        doc = json.loads((tmp_path / "d.json").read_text())
+        assert doc["num_copies"] <= 8
+        doc["blue"][0]["copy"] = copy
+        f = self.write(tmp_path, doc)
+        self.assert_input_error(capsys, "render", f, str(tmp_path / "x.svg"))
+
     def test_build_systems_not_a_list(self, capsys, tmp_path):
         f = self.write(tmp_path, {"mode": "dual", "systems": 5})
         out = str(tmp_path / "d.json")

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from spinebound import forms
 from spinebound import (
     ConnectSum,
     FormInvariants,
@@ -165,7 +166,8 @@ class TestAgainstCharPoly:
                 assert det_int(m) == oracles.cofactor_det(rows)
 
     def test_form_invariants_match_parts(self):
-        """The fused pass agrees with det, signature and Smith form run apart."""
+        """The shared pass and the |det| = 1 shortcut agree with det,
+        signature and Smith form computed on a fresh copy of the matrix."""
         rng = random.Random(26)
         samples = [self.zero_heavy(rng, order) for order in range(0, 9) for _ in range(40)]
         samples += [self.unimodular_image(rng, order) for order in range(2, 13) for _ in range(8)]
@@ -174,7 +176,7 @@ class TestAgainstCharPoly:
             m = SymIntMatrix.from_rows(rows)
             snf = smith_normal_form(m)
             expected = FormInvariants(len(snf), det_int(m), signature(m), parity(m), tuple(snf))
-            assert form_invariants(m) == expected, rows
+            assert form_invariants(SymIntMatrix.from_rows(rows)) == expected, rows
             if len(snf) < m.order:
                 kinds["rank-deficient"] += 1
             elif abs(expected.determinant) == 1:
@@ -183,6 +185,16 @@ class TestAgainstCharPoly:
                 kinds["|det| > 1"] += 1
         assert kinds["dense unimodular"] >= 60, kinds
         assert kinds["rank-deficient"] >= 60 and kinds["|det| > 1"] >= 60, kinds
+
+
+def test_one_elimination_per_matrix(monkeypatch):
+    calls = []
+    kernel = forms._leading_minors
+    monkeypatch.setattr(forms, "_leading_minors", lambda m: calls.append(m) or kernel(m))
+    m = SymIntMatrix.from_rows(PAPER_72_MATRIX.entries)
+    inv = form_invariants(m)
+    assert (det_int(m), signature(m)) == (inv.determinant, inv.signature) == (1, 0)
+    assert calls == [m]
 
 
 class TestParity:

@@ -33,3 +33,16 @@ def test_every_wrap_point_resolves():
         if not callable(getattr(mod, attr, None))
     ]
     assert missing == []
+
+
+def test_verify_reaches_the_forms_spans(tmp_path, capsys):
+    """The benchmark's forms metrics come from spans on `forms.signature`; a
+    verify that bypasses that name would make them read 0."""
+    diagram = str(tmp_path / "d.json")
+    assert spinebound.cli.main(["build", "7", "2", "--out", diagram]) == 0
+    tracer = load_spans().Tracer(spinebound)
+    with tracer.installed():
+        assert spinebound.cli.main(["verify", diagram]) == 0
+    sizes = {s.name: s.size for s in tracer.spans}
+    assert {"cli.verify", "forms.consistency", "forms.signature"} <= sizes.keys()
+    assert sizes["forms.signature"] == 4
