@@ -24,7 +24,6 @@ from .farey import (
     farey_det,
     farey_distance,
     farey_parents,
-    is_dual,
     is_even_vertex,
     neighbors,
 )
@@ -52,6 +51,7 @@ from .construct import (
     PathViolation,
     ScaffoldCurve,
     TrisectionDiagram,
+    ViolationKind,
     blue_layer_path,
     build_diagram,
     classify,

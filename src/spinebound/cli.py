@@ -26,7 +26,6 @@ from pathlib import Path
 from . import construct, forms, lens as lens_mod
 from .evenfarey import even_distance
 from .farey import (
-    DEFAULT_MAX_NODES,
     DomainError,
     InvalidSlopeError,
     NoPathWithinCap,
@@ -60,6 +59,28 @@ def _expect(v, kind: type, what: str):
         name = "an object" if kind is dict else "a list"
         raise ValueError(f"expected {what} to be {name}, got {type(v).__name__}")
     return v
+
+
+_CONTAINERS = frozenset((dict, list))
+
+
+def _same(a, b) -> bool:
+    """JSON equality that tells true from 1 and 1 from 1.0, which == does not.
+
+    A list compares its element types first, so a list of scalars such as
+    a linking matrix row needs no Python call per entry.
+    """
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        kinds = list(map(type, a))
+        if kinds != list(map(type, b)):
+            return False
+        if not _CONTAINERS.isdisjoint(kinds):
+            return all(map(_same, a, b))
+    return a == b
 
 
 def _slope_doc(s: Slope) -> dict:
@@ -147,10 +168,6 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_slope(text: str) -> Slope:
-    return Slope.parse(text)
-
-
 def _bound_doc(result: lens_mod.BoundResult) -> dict:
     return {
         "n": result.n,
@@ -211,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_dist(args) -> int:
     try:
-        a = _parse_slope(args.a)
-        b = _parse_slope(args.b)
+        a = Slope.parse(args.a)
+        b = Slope.parse(args.b)
     except InvalidSlopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
@@ -377,7 +394,16 @@ def _svg_line(x0, y0, x1, y1, color, width=2.0) -> str:
 
 
 def _render_svg(doc: dict) -> str:
+    """SVG of a genus-1 diagram document: one square per copy."""
+
+    def records(color_name: str) -> list[dict]:
+        recs = _expect(doc[color_name], list, f'"{color_name}"')
+        return [_expect(rec, dict, f"a {color_name} curve") for rec in recs]
+
     copies = _unpack_int(doc["num_copies"])
+    blue = records("blue")
+    if copies != len(blue):  # genus 1: one blue curve per copy
+        raise ValueError(f"num_copies is {copies} but there are {len(blue)} blue curves")
     width = 2 * _MARGIN + copies * _SQUARE + (copies - 1) * _GAP
     height = 2 * _MARGIN + _SQUARE
     parts = [
@@ -389,10 +415,6 @@ def _render_svg(doc: dict) -> str:
 
     def origin(copy: int) -> float:
         return _MARGIN + copy * (_SQUARE + _GAP)
-
-    def records(color_name: str) -> list[dict]:
-        recs = _expect(doc[color_name], list, f'"{color_name}"')
-        return [_expect(rec, dict, f"a {color_name} curve") for rec in recs]
 
     def copy_index(v) -> int:
         copy = _unpack_int(v)
@@ -436,7 +458,7 @@ def _render_svg(doc: dict) -> str:
             else:
                 raise ValueError(f"unknown scaffold curve kind {kind!r}")
 
-    for rec in records("blue"):
+    for rec in blue:
         copy = copy_index(rec["copy"])
         slope = _slope_from_doc(rec["slope"])
         p = -slope.p if rec["reflected"] else slope.p
@@ -513,25 +535,25 @@ def cmd_verify(args) -> int:
         stats = construct.diagram_stats(diagram, csum)
         expected = _diagram_doc(diagram, link, csum, stats)
         for key in ("genus_per_copy", "num_copies"):
-            if doc.get(key) != expected[key]:
+            if not _same(doc.get(key), expected[key]):
                 problems.append(f"{key}: file says {doc.get(key)}, recomputed {expected[key]}")
         for color in ("blue", "red", "green"):
-            if doc.get(color) != expected[color]:
+            if not _same(doc.get(color), expected[color]):
                 problems.append(f"{color} curves do not match the recomputation")
         file_curves = kirby.get("curves", [])
         for want, got in zip(expected["kirby"]["curves"], file_curves):
-            if want != got:
+            if not _same(got, want):
                 problems.append(
                     f"kirby curve at layer {want['layer']} coordinate "
                     f"{want['coordinate']}: file says {got}, recomputed {want}"
                 )
         if len(file_curves) != len(expected["kirby"]["curves"]):
             problems.append("kirby curve count does not match")
-        if kirby.get("linking_matrix") != expected["kirby"]["linking_matrix"]:
+        if not _same(kirby.get("linking_matrix"), expected["kirby"]["linking_matrix"]):
             problems.append("linking matrix does not match the recomputation")
-        if doc.get("classification") != expected["classification"]:
+        if not _same(doc.get("classification"), expected["classification"]):
             problems.append("classification does not match the recomputation")
-        if doc.get("stats") != expected["stats"]:
+        if not _same(doc.get("stats"), expected["stats"]):
             problems.append("stats do not match the recomputation")
         report = forms.consistency_check(path)
         if not report.ok:

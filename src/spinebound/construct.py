@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .lens import DEFAULT_MAX_NODES, LensSpace, twisted_bound, untwisted_bound
+from .lens import LensSpace, twisted_bound, untwisted_bound
 from .farey import (
     LONGITUDE,
     MERIDIAN,
@@ -69,10 +69,19 @@ class DualPath:
         return len(self.systems) - 1
 
 
+class ViolationKind(str, Enum):
+    TOO_SHORT = "too_short"  # fewer than two steps
+    BAD_START = "bad_start"  # D_0 not all 0/1, or D_1 not all 1/0
+    EQUAL_SLOPES = "equal_slopes"  # a coordinate repeats in strict mode
+    NOT_DUAL = "not_dual"  # a coordinate step that is neither dual nor equal
+    PARALLEL_STEP = "parallel_step"  # a whole system repeats in parallel mode
+
+
 @dataclass(frozen=True)
 class PathViolation:
     step: int | None
     coordinate: int | None
+    kind: ViolationKind
     condition: str
 
     def __str__(self) -> str:
@@ -94,28 +103,34 @@ def validate_path(path: DualPath) -> list[PathViolation]:
     (parallel mode).
     """
     out: list[PathViolation] = []
+
+    def add(step: int | None, coordinate: int | None, kind: ViolationKind, condition: str):
+        out.append(PathViolation(step, coordinate, kind, condition))
+
     g = path.genus
     if path.steps < 2:
-        out.append(PathViolation(None, None, f"need at least 2 steps, found {path.steps}"))
+        add(None, None, ViolationKind.TOO_SHORT, f"need at least 2 steps, found {path.steps}")
     for j in range(g):
         if path.systems[0][j] != MERIDIAN:
-            out.append(PathViolation(0, j, f"first system must be 0/1, found {path.systems[0][j]}"))
+            first = path.systems[0][j]
+            add(0, j, ViolationKind.BAD_START, f"first system must be 0/1, found {first}")
         if len(path.systems) > 1 and path.systems[1][j] != LONGITUDE:
-            out.append(PathViolation(1, j, f"second system must be 1/0, found {path.systems[1][j]}"))
+            second = path.systems[1][j]
+            add(1, j, ViolationKind.BAD_START, f"second system must be 1/0, found {second}")
     for i in range(1, len(path.systems)):
         prev, cur = path.systems[i - 1], path.systems[i]
         all_equal = True
         for j in range(g):
             if prev[j] == cur[j]:
                 if path.mode is PathMode.DUAL:
-                    out.append(PathViolation(i, j, "slopes equal; strict mode requires dual"))
+                    add(i, j, ViolationKind.EQUAL_SLOPES, "slopes equal; strict mode requires dual")
                 continue
             all_equal = False
             det = farey_det(prev[j], cur[j])
             if abs(det) != 1:
-                out.append(PathViolation(i, j, f"{prev[j]} -> {cur[j]} not dual (det {det})"))
+                add(i, j, ViolationKind.NOT_DUAL, f"{prev[j]} -> {cur[j]} not dual (det {det})")
         if all_equal and path.mode is PathMode.PARALLEL:
-            out.append(PathViolation(i, None, "consecutive systems entirely equal"))
+            add(i, None, ViolationKind.PARALLEL_STEP, "consecutive systems entirely equal")
     return out
 
 
@@ -133,31 +148,21 @@ def _check_steps(path: DualPath) -> None:
     they accept walks with trailing repeats (the repeats contribute
     nothing).
     """
-    bad = [
-        v
-        for v in validate_path(path)
-        if v.condition != "consecutive systems entirely equal"
-    ]
+    bad = [v for v in validate_path(path) if v.kind is not ViolationKind.PARALLEL_STEP]
     if bad:
         raise ValueError("invalid path: " + "; ".join(str(v) for v in bad))
 
 
-def path_from_lens(
-    lens: LensSpace,
-    mode: str = "any",
-    cap: int | None = None,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> DualPath:
+def path_from_lens(lens: LensSpace, mode: str = "any", cap: int | None = None) -> DualPath:
     """Genus-1 walk ending at a slope of the given lens space.
 
     mode "any" walks the full Farey graph (twisted summands allowed),
     mode "even" stays on even slopes so all summands come out untwisted.
     """
     if mode == "any":
-        bound = twisted_bound(lens, cap, max_nodes=max_nodes)
+        bound = twisted_bound(lens, cap)
     elif mode == "even":
-        bound = untwisted_bound(lens, cap, max_nodes=max_nodes)
+        bound = untwisted_bound(lens, cap)
     else:
         raise ValueError(f"mode must be 'any' or 'even', got {mode!r}")
     return DualPath(tuple((v,) for v in bound.path.vertices), PathMode.DUAL)
@@ -255,7 +260,6 @@ class TrisectionDiagram:
     path: DualPath
     total_genus: int
     ball_count: int | None
-    piece_genera: dict[str, int] | None
 
 
 def _layer_index(copy: int, steps: int) -> int:
@@ -279,11 +283,6 @@ def build_diagram(path: DualPath) -> TrisectionDiagram:
         green.extend(ScaffoldCurve("bridge", gap, j) for j in range(g))
     total_genus = 2 * g * (m - 1)
     ball_count = m - 1 if g == 1 else None
-    piece_genera = None
-    if g == 1 and m == 2:
-        piece_genera = {"red": 2, "blue": 1, "green": 1}
-    elif g == 1 and m == 3:
-        piece_genera = {"green": 3, "red": 2, "blue": 1}
     return TrisectionDiagram(
         genus_per_copy=g,
         num_copies=copies,
@@ -293,7 +292,6 @@ def build_diagram(path: DualPath) -> TrisectionDiagram:
         path=path,
         total_genus=total_genus,
         ball_count=ball_count,
-        piece_genera=piece_genera,
     )
 
 

@@ -21,11 +21,10 @@ from .farey import (
     PathKind,
     Slope,
     SlopePath,
-    _fallback_walk,
     _graph_distance,
-    canonical,
     farey_parents,
     is_even_vertex,
+    parent_trace,
 )
 
 
@@ -49,17 +48,6 @@ def even_parent(s: Slope) -> Slope:
     return first if first_even else second
 
 
-def _even_trace_vertices(s: Slope) -> list[Slope]:
-    if s.p < 0:
-        return [canonical(-v.p, v.q) for v in _even_trace_vertices(canonical(-s.p, s.q))]
-    out = [s]
-    while out[-1] not in (MERIDIAN, LONGITUDE):
-        out.append(even_parent(out[-1]))
-    if out[-1] == LONGITUDE:
-        out.append(MERIDIAN)
-    return out
-
-
 def even_trace(s: Slope) -> SlopePath:
     """The canonical even walk from s down to 0/1.
 
@@ -72,7 +60,7 @@ def even_trace(s: Slope) -> SlopePath:
         raise DomainError(f"{s} is odd; it has no even trace")
     if s.p < 0:
         raise DomainError(f"{s} is negative; reflect before tracing")
-    return SlopePath(tuple(_even_trace_vertices(s)), PathKind.EVEN_FAREY)
+    return SlopePath(tuple(parent_trace(s, even_parent)), PathKind.EVEN_FAREY)
 
 
 def even_distance(
@@ -90,13 +78,7 @@ def even_distance(
     the full-graph distance.
     """
     return _graph_distance(
-        a,
-        b,
-        cap,
-        even=True,
-        max_nodes=max_nodes,
-        upper=upper,
-        fallback=lambda: _fallback_walk(a, b, _even_trace_vertices, PathKind.EVEN_FAREY),
+        a, b, cap, even=True, max_nodes=max_nodes, upper=upper, parent=even_parent
     )
 
 

@@ -93,20 +93,21 @@ def canonical(p: int, q: int) -> Slope:
     """Reduce and sign-normalize: canonical(p, q) == canonical(-p, -q)."""
     if p == 0 and q == 0:
         raise InvalidSlopeError("(0, 0) does not represent a curve")
+    return Slope(*_canon_pair(p, q))
+
+
+def _canon_pair(p: int, q: int) -> tuple[int, int]:
     g = math.gcd(p, q)
-    p, q = p // g, q // g
+    p //= g
+    q //= g
     if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return Slope(p, q)
+        return -p, -q
+    return p, q
 
 
 def farey_det(a: Slope, b: Slope) -> int:
     """p_a*q_b - p_b*q_a; the slopes are dual exactly when this is +-1."""
     return a.p * b.q - b.p * a.q
-
-
-def is_dual(a: Slope, b: Slope) -> bool:
-    return abs(farey_det(a, b)) == 1
 
 
 def is_even_vertex(s: Slope) -> bool:
@@ -177,15 +178,6 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     a1 = (b1 * p - 1) // q
     pair = sorted((Slope(a1, b1), Slope(p - a1, q - b1)), key=lambda t: (t.q, t.p))
     return pair[0], pair[1]
-
-
-def _canon_pair(p: int, q: int) -> tuple[int, int]:
-    g = math.gcd(p, q)
-    p //= g
-    q //= g
-    if q < 0 or (q == 0 and p < 0):
-        return -p, -q
-    return p, q
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -269,35 +261,36 @@ def _splice(vertices: list[Slope]) -> list[Slope]:
     return out
 
 
-def _mediant_trace(s: Slope) -> list[Slope]:
-    """Walk mediant parents from s down to 0/1.
+def mediant_parent(s: Slope) -> Slope:
+    """The mediant parent a trace steps to: the one different from 0/1,
+    so the trace reaches 1/0 first whenever it can."""
+    first, second = farey_parents(s)
+    return second if first == MERIDIAN else first
 
-    Prefers the parent different from 0/1 so the walk reaches 1/0 first
-    whenever it can; the final 1/0 -- 0/1 edge is appended.  Negative
-    slopes are handled by reflection, which is a graph automorphism
-    fixing both roots.
+
+def parent_trace(s: Slope, parent: Callable[[Slope], Slope]) -> list[Slope]:
+    """Walk `parent` from s down to a root, ending at 0/1.
+
+    When the walk bottoms out at 1/0 the final 1/0 -- 0/1 edge is
+    appended.  Negative slopes are handled by reflection, which is a
+    graph automorphism fixing both roots.
     """
     if s.p < 0:
-        return [canonical(-v.p, v.q) for v in _mediant_trace(canonical(-s.p, s.q))]
+        return [canonical(-v.p, v.q) for v in parent_trace(canonical(-s.p, s.q), parent)]
     out = [s]
     while out[-1] not in (MERIDIAN, LONGITUDE):
-        first, second = farey_parents(out[-1])
-        out.append(second if first == MERIDIAN else first)
+        out.append(parent(out[-1]))
     if out[-1] == LONGITUDE:
         out.append(MERIDIAN)
     return out
 
 
 def _fallback_walk(
-    a: Slope, b: Slope, tracer: Callable[[Slope], list[Slope]], kind: PathKind
+    a: Slope, b: Slope, parent: Callable[[Slope], Slope], kind: PathKind
 ) -> SlopePath:
-    """A valid a-to-b walk through 0/1 built from parent traces."""
-    if a == b:
-        return SlopePath((a,), kind)
-    ta = tracer(a)
-    tb = tracer(b)
-    walk = _splice(ta + list(reversed(tb))[1:])
-    return SlopePath(tuple(walk), kind)
+    """A valid a-to-b walk through 0/1 built from the parent traces of both ends."""
+    walk = parent_trace(a, parent) + parent_trace(b, parent)[::-1][1:]
+    return SlopePath(tuple(_splice(walk)), kind)
 
 
 def _graph_distance(
@@ -308,7 +301,7 @@ def _graph_distance(
     even: bool,
     max_nodes: int,
     upper: SlopePath | None,
-    fallback: Callable[[], SlopePath],
+    parent: Callable[[Slope], Slope],
 ) -> tuple[int, SlopePath]:
     """Distance engine shared by the full and even Farey graphs.
 
@@ -318,7 +311,8 @@ def _graph_distance(
     layer after which the two visited sets intersect yields the exact
     capped distance.  When `upper` is given and no shorter path can exist
     the witness is returned as the exact capped answer.  Exceeding
-    `max_nodes` raises :class:`NoPathWithinCap` carrying a trace witness.
+    `max_nodes` raises :class:`NoPathWithinCap` carrying `upper`, or else
+    the walk through 0/1 that `parent` traces from both endpoints.
     """
     kind = PathKind.EVEN_FAREY if even else PathKind.FAREY
     if even and not (is_even_vertex(a) and is_even_vertex(b)):
@@ -337,7 +331,7 @@ def _graph_distance(
         return 2, SlopePath((a, mids[0], b), kind)
 
     def give_up() -> None:
-        witness = upper if upper is not None else fallback()
+        witness = upper if upper is not None else _fallback_walk(a, b, parent, kind)
         raise NoPathWithinCap(witness.edges, witness)
 
     upper_edges = upper.edges if upper is not None else None
@@ -414,11 +408,5 @@ def farey_distance(
     when the search exceeds `max_nodes`.
     """
     return _graph_distance(
-        a,
-        b,
-        cap,
-        even=False,
-        max_nodes=max_nodes,
-        upper=upper,
-        fallback=lambda: _fallback_walk(a, b, _mediant_trace, PathKind.FAREY),
+        a, b, cap, even=False, max_nodes=max_nodes, upper=upper, parent=mediant_parent
     )

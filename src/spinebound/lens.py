@@ -18,17 +18,17 @@ from enum import Enum
 
 from .evenfarey import even_distance, even_trace
 from .farey import (
-    DEFAULT_MAX_NODES,
     LONGITUDE,
     MERIDIAN,
     NoPathWithinCap,
     PathKind,
     Slope,
     SlopePath,
-    _mediant_trace,
-    default_cap as _slope_cap,
+    default_cap,
     farey_distance,
     is_even_vertex,
+    mediant_parent,
+    parent_trace,
 )
 
 
@@ -98,10 +98,6 @@ def equivalent_reps(lens: LensSpace) -> frozenset[LensSpace]:
     return frozenset(LensSpace(p, r) for r in (q, p - q, qinv, p - qinv))
 
 
-def default_cap(lens: LensSpace) -> int:
-    return _slope_cap(MERIDIAN, LONGITUDE, Slope(lens.p, lens.q))
-
-
 def _root_walk(target: Slope, even: bool) -> SlopePath:
     """The parent-trace walk [0/1, 1/0, ..., target].
 
@@ -111,24 +107,20 @@ def _root_walk(target: Slope, even: bool) -> SlopePath:
     standard 0/1, 1/0 prefix.
     """
     if even:
-        vertices = list(reversed(even_trace(target).vertices))
-        kind = PathKind.EVEN_FAREY
+        trace, kind = even_trace(target).vertices, PathKind.EVEN_FAREY
     else:
-        vertices = list(reversed(_mediant_trace(target)))
-        kind = PathKind.FAREY
-    if vertices[1] != LONGITUDE:
+        trace, kind = parent_trace(target, mediant_parent), PathKind.FAREY
+    if trace[-2] != LONGITUDE:
         raise RuntimeError(f"trace of {target} does not route through 1/0")
-    return SlopePath(tuple(vertices), kind)
+    return SlopePath(tuple(reversed(trace)), kind)
 
 
 def _prepend_meridian(path: SlopePath) -> SlopePath:
     return SlopePath((MERIDIAN,) + path.vertices, path.kind)
 
 
-def _best_bound(
-    lens: LensSpace, cap: int | None, even: bool, max_nodes: int
-) -> BoundResult:
-    cap = cap if cap is not None else default_cap(lens)
+def _best_bound(lens: LensSpace, cap: int | None, even: bool) -> BoundResult:
+    cap = cap if cap is not None else default_cap(Slope(lens.p, lens.q))
     best: BoundResult | None = None
     for rep in sorted(equivalent_reps(lens), key=lambda r: r.q):
         target = Slope(rep.p, rep.q)
@@ -138,7 +130,7 @@ def _best_bound(
         tail = SlopePath(witness.vertices[1:], witness.kind)  # from 1/0
         search = even_distance if even else farey_distance
         try:
-            d, path = search(LONGITUDE, target, cap, max_nodes=max_nodes, upper=tail)
+            d, path = search(LONGITUDE, target, cap, upper=tail)
             cand = BoundResult(d, _prepend_meridian(path), rep, Exactness.CERTIFIED)
         except NoPathWithinCap as exc:
             cand = BoundResult(
@@ -155,28 +147,24 @@ def _best_bound(
     return best
 
 
-def twisted_bound(
-    lens: LensSpace, cap: int | None = None, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> BoundResult:
+def twisted_bound(lens: LensSpace, cap: int | None = None) -> BoundResult:
     """Fewest twisted-bundle summands our walks realize for this lens space.
 
     Minimizes the walk length from 0/1 through 1/0 over all homeomorphism
     representatives; n >= 1 always since p >= 2 keeps the target at
     distance >= 2 from 0/1.
     """
-    return _best_bound(lens, cap, even=False, max_nodes=max_nodes)
+    return _best_bound(lens, cap, even=False)
 
 
-def untwisted_bound(
-    lens: LensSpace, cap: int | None = None, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> BoundResult:
+def untwisted_bound(lens: LensSpace, cap: int | None = None) -> BoundResult:
     """Like :func:`twisted_bound` but restricted to the even Farey graph.
 
     Every vertex of the witness walk is even, so the resulting connect
     sum is built from untwisted bundles only.  When the search gives up,
     the even parent trace still guarantees n <= p - 1.
     """
-    return _best_bound(lens, cap, even=True, max_nodes=max_nodes)
+    return _best_bound(lens, cap, even=True)
 
 
 @dataclass(frozen=True)
@@ -186,12 +174,7 @@ class TableRow:
     untwisted: BoundResult
 
 
-def prop_bound_table(
-    p_max: int,
-    cap: int | None = None,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> list[TableRow]:
+def prop_bound_table(p_max: int, cap: int | None = None) -> list[TableRow]:
     """Both bounds for every lens space with 2 <= p <= p_max.
 
     One row per homeomorphism class, keyed by the representative with the
@@ -207,11 +190,5 @@ def prop_bound_table(
             lens = LensSpace(p, q)
             if min(r.q for r in equivalent_reps(lens)) != q:
                 continue
-            rows.append(
-                TableRow(
-                    lens,
-                    twisted_bound(lens, cap, max_nodes=max_nodes),
-                    untwisted_bound(lens, cap, max_nodes=max_nodes),
-                )
-            )
+            rows.append(TableRow(lens, twisted_bound(lens, cap), untwisted_bound(lens, cap)))
     return rows

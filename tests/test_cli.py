@@ -31,6 +31,11 @@ class TestDist:
         assert code == 0
         assert out.splitlines()[0].startswith("5 : ")
 
+    def test_even_give_up_exits_3(self, capsys):
+        code, out, _ = run(capsys, "dist", "--even", "1/0", "81/80")
+        assert code == 3
+        assert out.startswith("no path within cap 648; upper bound 80 : 1/0 2/1 ")
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "dist", "0/0", "1/2")
         assert code == 1 and "error" in err
@@ -293,6 +298,60 @@ class TestRenderAndVerify:
     def test_verify_unreadable(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert code == 1
+
+
+def _set_copy(doc):
+    doc["blue"][0]["copy"] = False
+
+
+def _set_genus(doc):
+    doc["genus_per_copy"] = True
+
+
+def _set_reflected(doc):
+    doc["blue"][0]["reflected"] = 1
+
+
+def _set_framing(doc):
+    curve = doc["kirby"]["curves"][1]
+    curve["framing"] = float(curve["framing"])
+
+
+def _set_minimal(doc):
+    doc["stats"]["minimal"] = 1
+
+
+def _set_linking(doc):
+    row = doc["kirby"]["linking_matrix"][0]
+    row[1] = float(row[1])
+
+
+@pytest.mark.parametrize(
+    "edit", [_set_copy, _set_genus, _set_reflected, _set_framing, _set_minimal, _set_linking]
+)
+def test_verify_tells_json_types_apart(capsys, tmp_path, edit):
+    """true == 1 == 1.0 in Python, but a diagram with a changed JSON type
+    is not the recomputed one."""
+    f = tmp_path / "d.json"
+    assert run(capsys, "build", "7", "2", "--out", str(f))[0] == 0
+    doc = json.loads(f.read_text())
+    edit(doc)
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 2 and out.startswith("FAIL ")
+
+
+def test_render_num_copies_must_match_blue(capsys, tmp_path):
+    f = tmp_path / "d.json"
+    assert run(capsys, "build", "19", "7", "--mode", "even", "--out", str(f))[0] == 0
+    doc = json.loads(f.read_text())
+    assert doc["num_copies"] == len(doc["blue"]) == 8
+    doc["num_copies"] = 40
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "render", str(f), str(tmp_path / "x.svg"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "x.svg").exists()
 
 
 class TestMalformedNestedFields:

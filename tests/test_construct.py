@@ -10,6 +10,7 @@ from spinebound import (
     MERIDIAN,
     PathMode,
     Slope,
+    ViolationKind,
     blue_layer_path,
     build_diagram,
     classify,
@@ -150,6 +151,17 @@ class TestValidatePath:
         path = genus1_path("0/1", "1/0")
         assert any("at least 2 steps" in v.condition for v in validate_path(path))
 
+    def test_violation_kinds(self):
+        def kinds(*texts, mode=PathMode.DUAL):
+            return [v.kind for v in validate_path(genus1_path(*texts, mode=mode))]
+
+        assert kinds("0/1", "1/0") == [ViolationKind.TOO_SHORT]
+        assert kinds("1/0", "0/1", "1/1") == [ViolationKind.BAD_START] * 2
+        assert kinds("0/1", "1/0", "3/1", "3/1") == [ViolationKind.EQUAL_SLOPES]
+        assert kinds("0/1", "1/0", "7/2") == [ViolationKind.NOT_DUAL]
+        repeat = ("0/1", "1/0", "3/1", "3/1")
+        assert kinds(*repeat, mode=PathMode.PARALLEL) == [ViolationKind.PARALLEL_STEP]
+
 
 class TestBuildDiagram:
     def test_integer_family(self):
@@ -162,7 +174,6 @@ class TestBuildDiagram:
             ]
             assert len(d.red) == 2 and len(d.green) == 2
             assert d.ball_count == 1
-            assert d.piece_genera == {"red": 2, "blue": 1, "green": 1}
 
     def test_paper_walk(self):
         d = build_diagram(PAPER_72)
@@ -175,7 +186,6 @@ class TestBuildDiagram:
         ]
         assert len(d.red) == len(d.green) == 4
         assert d.ball_count == 2
-        assert d.piece_genera == {"green": 3, "red": 2, "blue": 1}
 
     def test_scaffold_structure(self):
         d = build_diagram(PAPER_72)

@@ -113,6 +113,16 @@ class TestUntwistedBound:
         assert res.path.vertices[:3] == (MERIDIAN, LONGITUDE, Slope(2, 1))
         assert res.path.vertices[-1] == Slope(19, 18)
 
+    def test_give_up_falls_back_to_the_even_trace(self):
+        # The even search from 1/0 to 81/80 exhausts its node budget; the
+        # answer is the even parent trace 0/1, 1/0, 2/1, ..., 81/80.
+        res = untwisted_bound(LensSpace(81, 1))
+        assert res.exactness is Exactness.UPPER_BOUND
+        assert res.n == 80
+        assert res.representative == LensSpace(81, 80)
+        ladder = tuple(Slope(k + 1, k) for k in range(1, 81))
+        assert res.path.vertices == (MERIDIAN, LONGITUDE) + ladder
+
     def test_3_1_via_3_2(self):
         res = untwisted_bound(LensSpace(3, 1))
         assert res.n == 2
