@@ -62,10 +62,13 @@ from .construct import (
     validate_path,
 )
 from .forms import (
+    CongruenceError,
     ConsistencyReport,
     FormInvariants,
     Parity,
     SymIntMatrix,
+    TridiagonalForm,
+    congruence,
     consistency_check,
     det_int,
     form_invariants,

@@ -83,6 +83,33 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _matrix_difference(got, want: list) -> str | None:
+    """Where the file's linking matrix first differs from `want`, else None.
+
+    Names the row count, a row's length or the first differing entry in
+    row-major order, with the file's and the recomputed value.
+    """
+    if _same(got, want):
+        return None
+    if type(got) is not list:
+        return f"linking matrix: file says {json.dumps(got)}, recomputed a list of {len(want)} rows"
+    if len(got) != len(want):
+        return f"linking matrix: file has {len(got)} rows, recomputed {len(want)}"
+    for i, (row, expected) in enumerate(zip(got, want)):
+        if type(row) is not list or len(row) != len(expected):
+            return (
+                f"linking matrix row {i}: file says {json.dumps(row)}, "
+                f"recomputed {len(expected)} entries"
+            )
+        for j, (x, y) in enumerate(zip(row, expected)):
+            if not _same(x, y):
+                return (
+                    f"linking matrix entry ({i}, {j}): file says {json.dumps(x)}, "
+                    f"recomputed {json.dumps(y)}"
+                )
+    return None
+
+
 def _slope_doc(s: Slope) -> dict:
     return {"p": _pack_int(s.p), "q": _pack_int(s.q)}
 
@@ -109,6 +136,9 @@ def _path_from_doc(doc) -> construct.DualPath:
     return construct.DualPath(systems, mode)
 
 
+_DIAGRAM_VERSION = 1
+
+
 def _diagram_doc(
     diagram: construct.TrisectionDiagram,
     link: construct.FramedLink,
@@ -116,7 +146,7 @@ def _diagram_doc(
     stats: construct.DiagramStats,
 ) -> dict:
     return {
-        "version": 1,
+        "version": _DIAGRAM_VERSION,
         "genus_per_copy": diagram.genus_per_copy,
         "num_copies": diagram.num_copies,
         "path": _path_doc(diagram.path),
@@ -344,6 +374,10 @@ _SQUARE = 100.0
 _GAP = 20.0
 _MARGIN = 10.0
 _COLORS = {"red": "#CC0000", "green": "#008800", "blue": "#0000CC"}
+# `render` refuses a diagram whose blue curves need more <line> elements
+# than this (about 100 MB of SVG), far above the 22,400 of the largest
+# diagram perfbench renders.
+_MAX_BLUE_LINES = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -386,11 +420,27 @@ def _wrap_segments(p: int, q: int, x_phase: Fraction, y_phase: Fraction):
     return segments
 
 
+def _blue_lines(p: int, q: int) -> int:
+    """How many segments `_wrap_segments(p, q, 0, 1/2)` cuts a curve into.
+
+    p*t crosses an integer |p| - 1 times and q*t + 1/2 crosses one q
+    times for t in (0, 1); they cross together only at t = 1/2, when p
+    is even and q odd.  A 0/1 or 1/0 curve is one line.
+    """
+    if p == 0 or q == 0:
+        return 1
+    return abs(p) + q - (p % 2 == 0 and q % 2 == 1)
+
+
 def _svg_line(x0, y0, x1, y1, color, width=2.0) -> str:
     return (
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
         f'stroke="{color}" stroke-width="{_fmt(width)}" stroke-linecap="round"/>'
     )
+
+
+class _TooLarge(ValueError):
+    """A well-formed diagram whose SVG would pass `_MAX_BLUE_LINES`."""
 
 
 def _render_svg(doc: dict) -> str:
@@ -421,6 +471,15 @@ def _render_svg(doc: dict) -> str:
         if not 0 <= copy < copies:
             raise ValueError(f"copy index {copy} outside 0..{copies - 1}")
         return copy
+
+    curves = []  # (copy, p, q) of each blue curve, p negated when reflected
+    for rec in blue:
+        copy = copy_index(rec["copy"])
+        slope = _slope_from_doc(rec["slope"])
+        curves.append((copy, -slope.p if rec["reflected"] else slope.p, slope.q))
+    lines = sum(_blue_lines(p, q) for _, p, q in curves)
+    if lines > _MAX_BLUE_LINES:
+        raise _TooLarge(f"the blue curves need {lines} lines, above the limit of {_MAX_BLUE_LINES}")
 
     for k in range(copies):
         parts.append(
@@ -458,18 +517,19 @@ def _render_svg(doc: dict) -> str:
             else:
                 raise ValueError(f"unknown scaffold curve kind {kind!r}")
 
-    for rec in blue:
-        copy = copy_index(rec["copy"])
-        slope = _slope_from_doc(rec["slope"])
-        p = -slope.p if rec["reflected"] else slope.p
-        q = slope.q
+    tail = f'" stroke="{_COLORS["blue"]}" stroke-width="{_fmt(2.0)}" stroke-linecap="round"/>'
+    for copy, p, q in curves:
         if q == 0:
             square_line(copy, 0, Fraction(1, 2), 1, Fraction(1, 2), _COLORS["blue"])
         elif p == 0:
             square_line(copy, Fraction(1, 2), 0, Fraction(1, 2), 1, _COLORS["blue"])
         else:
-            for x0, y0, x1, y1 in _wrap_segments(p, q, Fraction(0), Fraction(1, 2)):
-                square_line(copy, x0, y0, x1, y1, _COLORS["blue"])
+            ox = origin(copy)
+            parts.extend(
+                f'<line x1="{ox + x0 * _SQUARE:.3f}" y1="{_MARGIN + (1.0 - y0) * _SQUARE:.3f}" '
+                f'x2="{ox + x1 * _SQUARE:.3f}" y2="{_MARGIN + (1.0 - y1) * _SQUARE:.3f}{tail}'
+                for x0, y0, x1, y1 in _wrap_segments(p, q, Fraction(0), Fraction(1, 2))
+            )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -488,6 +548,10 @@ def _load_diagram(file: str) -> dict | None:
             file=sys.stderr,
         )
         return None
+    if not _same(doc.get("version"), _DIAGRAM_VERSION):
+        version = json.dumps(doc["version"]) if "version" in doc else "missing"
+        print(f"error: diagram version {version}; only {_DIAGRAM_VERSION} is read", file=sys.stderr)
+        return None
     return doc
 
 
@@ -505,6 +569,9 @@ def cmd_render(args) -> int:
         return _EXIT_VERIFY
     try:
         svg = _render_svg(doc)
+    except _TooLarge as exc:
+        print(f"error: cannot render diagram: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
     except (KeyError, ValueError, InvalidSlopeError) as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
@@ -534,6 +601,7 @@ def cmd_verify(args) -> int:
         csum = construct.classify(path)
         stats = construct.diagram_stats(diagram, csum)
         expected = _diagram_doc(diagram, link, csum, stats)
+        problems.extend(f"unknown top-level key {json.dumps(k)}" for k in doc if k not in expected)
         for key in ("genus_per_copy", "num_copies"):
             if not _same(doc.get(key), expected[key]):
                 problems.append(f"{key}: file says {doc.get(key)}, recomputed {expected[key]}")
@@ -549,8 +617,11 @@ def cmd_verify(args) -> int:
                 )
         if len(file_curves) != len(expected["kirby"]["curves"]):
             problems.append("kirby curve count does not match")
-        if not _same(kirby.get("linking_matrix"), expected["kirby"]["linking_matrix"]):
-            problems.append("linking matrix does not match the recomputation")
+        difference = _matrix_difference(
+            kirby.get("linking_matrix"), expected["kirby"]["linking_matrix"]
+        )
+        if difference:
+            problems.append(difference)
         if not _same(doc.get("classification"), expected["classification"]):
             problems.append("classification does not match the recomputation")
         if not _same(doc.get("stats"), expected["stats"]):

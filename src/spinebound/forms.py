@@ -1,25 +1,65 @@
-"""Exact invariants of integer symmetric bilinear forms.
+"""Exact invariants of the Kirby linking form, certified by a congruence.
 
-Used as an independent oracle for the connect-sum classifier: the linking
-matrix of a framed link presents the intersection form of the ambient
-4-manifold, and connect sums of sphere bundles are recognized by rank,
-signature, parity and unimodularity alone.  Everything is computed in
-exact integer arithmetic: one symmetric fraction-free Bareiss pass gives
-the leading minors of a congruent matrix, from which the rank is their
-count, the determinant is the last minor at full rank and the signature
-follows by Jacobi's rule.  A matrix runs that pass at most once and keeps
-its minors.  A unimodular form (|det| = 1) has all elementary divisors 1;
-any other form gets them from integer Smith reduction.
+The linking matrix M of a walk's framed link presents the intersection
+form of the ambient 4-manifold, and connect sums of sphere bundles are
+recognized by rank, signature, parity and unimodularity alone.  Rather
+than eliminate M densely, `congruence` builds a unimodular P from the
+link's slopes, computes T = P^T M P from M's own entries and checks that
+T is block tridiagonal; every invariant is then read off O(n) integers.
+
+The construction.  Number one coordinate's curves in link order; their
+entries are M_ab = p_a * q_b for a <= b (the framing p*q on the
+diagonal), and curves of distinct coordinates never link.  A curve equal
+to the last kept curve s_i of its coordinate gets f_k = e_k - e_i.  The
+first two kept curves get f_k = e_k.  Any later curve s_k is dual to the
+last kept curve s_i, and s_i is dual to the kept curve s_h before it, so
+det(s_i, s_h) = +-1 and s_k = alpha*s_i + beta*s_h with integers alpha,
+beta; it gets f_k = e_k - alpha*e_i - beta*e_h.  The f_k are the columns
+of P.
+
+The proof.
+- Unimodularity: each f_k is e_k minus earlier basis vectors, so P is
+  unitriangular with det P = 1, and T has the rank, determinant,
+  signature, parity and elementary divisors of M.
+- Radical vectors: every curve from s_i to a repeat s_k equals s_i, so
+  M_ck = M_ci for every c (p_c*q_k = p_c*q_i below i, p_k*q_c = p_i*q_c
+  above k, p_i*q_i in between) and M f_k = 0.
+- |b| = 1: for a later kept curve, (M f_k)_c = p_c*(q_k - alpha*q_i -
+  beta*q_h) = 0 for c <= h and q_c*(p_k - alpha*p_i - beta*p_h) = 0 for
+  c >= k, while for h < c < k it is beta*det(s_i, s_h) when c is i or a
+  repeat of s_i and 0 when c repeats s_h.  Duality of s_k and s_i gives
+  |beta| = 1, so M f_k = b*(e_i + repeats of s_i) with b = +-1.  Hence
+  T is tridiagonal on each coordinate's kept curves, with off-diagonal
+  entries +-1 (the first one is p*q' of the first two curves, 1 for a
+  walk from 1/0), zero rows for the repeats and zero across coordinates.
+  `congruence` checks all of this entry by entry and names the first
+  entry of T that breaks the pattern.
+
+The invariants.  A diagonal +-1 congruence makes every off-diagonal 1,
+so a block with diagonal a_1 .. a_L has the leading minors d_k = a_k *
+d_{k-1} - d_{k-2} (d_0 = 1, d_{-1} = 0), and gcd(d_k, d_{k-1}) = 1.
+Signature: Jacobi's rule counts +1 for each step between minors of the
+same sign and -1 for a sign change.  A zero d_k inside a block has
+d_{k+1} = -d_{k-1} != 0, and by Frobenius's rule its two steps add one
+positive and one negative square.  A zero d_L leaves the nondegenerate
+leading block of order L - 1 and one unit of nullity.  Smith form: the
+minor without the first row and last column is the product of the
+off-diagonals, +-1, so a block's elementary divisors are L - 1 ones and
+|d_L| (none when d_L = 0); the blocks' last divisors are combined by
+gcd/lcm.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from . import construct
-from .construct import ConnectSum, DualPath
+from .construct import ConnectSum, DualPath, KirbyCurve
+from .farey import farey_det
 
 
 @dataclass(frozen=True)
@@ -30,13 +70,14 @@ class SymIntMatrix:
 
     def __post_init__(self):
         n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("matrix must be square")
+        if tuple(zip(*self.entries)) != self.entries:
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if self.entries[i][j] != self.entries[j][i]
+            )
+            raise ValueError(f"matrix not symmetric at ({i}, {j})")
 
     @classmethod
     def from_rows(cls, rows) -> "SymIntMatrix":
@@ -46,100 +87,111 @@ class SymIntMatrix:
     def order(self) -> int:
         return len(self.entries)
 
+
+class CongruenceError(ValueError):
+    """The slopes give no congruence that makes the matrix block tridiagonal."""
+
+
+@dataclass(frozen=True)
+class TridiagonalForm:
+    """A form congruent to T = P^T M P: irreducible tridiagonal blocks.
+
+    Each block is given by its diagonal; its off-diagonal entries are
+    +-1.  `radical` more rows are zero.  The order counts both.
+    """
+
+    order: int
+    blocks: tuple[tuple[int, ...], ...]
+    radical: int = 0
+
     @cached_property
-    def leading_minors(self) -> tuple[int, ...]:
-        """The nonzero leading minors of `_leading_minors`, computed once.
+    def minors(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's leading minors d_1 .. d_L, as continuants."""
+        out = []
+        for diagonal in self.blocks:
+            ds = []
+            before, d = 0, 1
+            for a in diagonal:
+                before, d = d, a * d - before
+                ds.append(d)
+            out.append(tuple(ds))
+        return tuple(out)
 
-        `det_int`, `signature` and `form_invariants` all read them, so a
-        matrix pays for one elimination however many of them it meets.
-        """
-        return tuple(_leading_minors(self))
 
+def congruence(matrix: SymIntMatrix, curves: Sequence[KirbyCurve]) -> TridiagonalForm:
+    """The certified tridiagonal form of a linking matrix (see the module doc).
 
-def _leading_minors(matrix: SymIntMatrix) -> list[int]:
-    """Nonzero leading principal minors d_1, d_2, ... of a congruent matrix.
-
-    Symmetric fraction-free Bareiss elimination.  The active block holds
-    the bordered minors det M[L+i, L+j] over the pivots L eliminated so
-    far; each step replaces it by (pivot*m_ij - m_0i*m_0j) // prev, an
-    exact division by Sylvester's identity.  The block is symmetric, so
-    it is stored as its upper triangle: row i holds the entries j >= i,
-    and each step computes only those.  A zero pivot is replaced by a
-    unimodular congruence on active indices (`_make_pivot`): a symmetric
-    swap with a nonzero diagonal entry, else x_0 -> x_0 + x_j, which
-    gives the pivot 2*m_0j.  By multilinearity of the minors the block
-    transforms the same way, so the division stays exact.  An index
-    whose row is zero in the active block spans part of the radical and
-    is dropped, so the list has one entry per unit of rank.
+    `curves[k]` is the curve of row k.  Raises `CongruenceError` naming the
+    first entry of P^T M P, in row-major order, outside the pattern.
     """
-    tri = [list(row[i:]) for i, row in enumerate(matrix.entries)]
-    minors: list[int] = []
-    prev = 1
-    while tri:
-        if tri[0][0] == 0:
-            k = next((i for i in range(1, len(tri)) if tri[i][0]), None)
-            if k is None and not any(tri[0]):  # rank deficit
-                del tri[0]
-                continue
-            tri = _make_pivot(tri, k)
-        top = tri[0]
-        pivot = top[0]
-        tri = [
-            [(pivot * x - a * y) // prev for x, y in zip(row, top[i:])]
-            for i, (a, row) in enumerate(zip(top[1:], tri[1:]), 1)
-        ]
-        minors.append(pivot)
-        prev = pivot
-    return minors
+    n = matrix.order
+    if len(curves) != n:
+        raise ValueError(f"{len(curves)} curves for a matrix of order {n}")
+    moves = []  # (k, i, alpha, h, beta): f_k = e_k - alpha*e_i - beta*e_h
+    kept: dict[int, list[int]] = {}
+    for k, curve in enumerate(curves):
+        chain = kept.setdefault(curve.coordinate, [])
+        s = curve.slope
+        if chain and curves[chain[-1]].slope == s:
+            moves.append((k, chain[-1], 1, k, 0))
+            continue
+        if len(chain) < 2:
+            moves.append((k, k, 0, k, 0))
+        else:
+            i, h = chain[-1], chain[-2]
+            d = farey_det(curves[i].slope, curves[h].slope)
+            if abs(d) != 1:
+                raise CongruenceError(f"curves {h} and {i} are neither equal nor dual")
+            alpha = farey_det(s, curves[h].slope) * d  # Cramer's rule; 1/d = d
+            beta = farey_det(curves[i].slope, s) * d
+            moves.append((k, i, alpha, h, beta))
+        chain.append(k)
+
+    mp = [[r[k] - a * r[i] - b * r[h] for k, i, a, h, b in moves] for r in matrix.entries]
+    t = [[x - a * y - b * z for x, y, z in zip(mp[k], mp[i], mp[h])] for k, i, a, h, b in moves]
+
+    neighbours: dict[int, list[int]] = {k: [] for chain in kept.values() for k in chain}
+    for chain in kept.values():
+        for x, y in zip(chain, chain[1:]):
+            neighbours[x].append(y)
+            neighbours[y].append(x)
+    for k, row in enumerate(t):
+        rest = row[:]  # the entries outside the pattern, and flags for bad ones in it
+        if k in neighbours:
+            rest[k] = 0
+            for c in neighbours[k]:
+                rest[c] = abs(row[c]) != 1
+        if any(rest):
+            c = next(c for c, x in enumerate(rest) if x)
+            want = "+-1" if c in neighbours.get(k, ()) else "0"
+            raise CongruenceError(f"P^T M P entry ({k}, {c}) is {row[c]}, expected {want}")
+    return TridiagonalForm(
+        order=n,
+        blocks=tuple(tuple(t[k][k] for k in chain) for chain in kept.values()),
+        radical=n - sum(map(len, kept.values())),
+    )
 
 
-def _make_pivot(tri: list[list[int]], k: int | None) -> list[list[int]]:
-    """The triangle after the congruence that makes its zero pivot nonzero.
-
-    With a nonzero diagonal entry k, swap indices 0 and k; otherwise add
-    x_k to x_0 for the first k with m_0k != 0.  Both moves act on the
-    full block, so it is expanded here and folded back into a triangle.
-    """
-    n = len(tri)
-    block = [[0] * n for _ in range(n)]
-    for i, row in enumerate(tri):
-        for j, x in enumerate(row, i):
-            block[i][j] = block[j][i] = x
-    if k is not None:
-        block[0], block[k] = block[k], block[0]
-        for row in block:
-            row[0], row[k] = row[k], row[0]
-    else:
-        k = next(j for j, x in enumerate(block[0]) if x)
-        for row in block:
-            row[0] += row[k]
-        block[0] = [x + y for x, y in zip(block[0], block[k])]
-    return [row[i:] for i, row in enumerate(block)]
-
-
-def det_int(matrix: SymIntMatrix) -> int:
-    """Exact determinant: the last leading minor when the rank is full.
-
-    Congruence by a unimodular matrix leaves the determinant unchanged.
-    """
-    minors = matrix.leading_minors
-    if len(minors) < matrix.order:
+def det_int(form: TridiagonalForm) -> int:
+    """Exact determinant: the product of the blocks' last minors, 0 below full rank."""
+    if form.radical:
         return 0
-    return minors[-1] if minors else 1
+    return math.prod(ds[-1] for ds in form.minors)
 
 
-def signature(matrix: SymIntMatrix) -> int:
-    """(# positive) - (# negative) eigenvalues, by Jacobi's rule.
+def signature(form: TridiagonalForm) -> int:
+    """(# positive) - (# negative) squares, by Jacobi's and Frobenius's rules.
 
-    With d_0 = 1 and d_1, d_2, ... the nonzero leading minors of a
-    congruent matrix, each step whose sign agrees with the previous one
-    adds +1 and each sign change adds -1.
+    A step between nonzero minors adds +1 when their signs agree and -1
+    when they differ; a step into or out of a zero minor adds nothing.
     """
     total = 0
-    prev = 1
-    for d in matrix.leading_minors:
-        total += 1 if (d > 0) == (prev > 0) else -1
-        prev = d
+    for ds in form.minors:
+        prev = 1
+        for d in ds:
+            if d and prev:
+                total += 1 if (d > 0) == (prev > 0) else -1
+            prev = d
     return total
 
 
@@ -148,74 +200,25 @@ class Parity(str, Enum):
     ODD = "odd"
 
 
-def parity(matrix: SymIntMatrix) -> Parity:
-    """Even iff Q(x, x) is always even, iff every diagonal entry is even."""
-    if all(matrix.entries[i][i] % 2 == 0 for i in range(matrix.order)):
+def parity(form: TridiagonalForm) -> Parity:
+    """Even iff Q(x, x) is always even, iff every diagonal entry of a basis is even."""
+    if all(a % 2 == 0 for diagonal in form.blocks for a in diagonal):
         return Parity.EVEN
     return Parity.ODD
 
 
-def smith_normal_form(matrix: SymIntMatrix) -> list[int]:
-    """The elementary divisors d_1 | d_2 | ..., zeros omitted."""
-    return _snf(list(list(row) for row in matrix.entries))
+def smith_normal_form(form: TridiagonalForm) -> list[int]:
+    """The elementary divisors d_1 | d_2 | ..., zeros omitted.
 
-
-def _snf(m: list[list[int]]) -> list[int]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors = []
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        # Each promotion below strictly shrinks |m[t][t]|, so this ends.
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    f = m[i][t] // m[t][t]
-                    for j in range(t, cols):
-                        m[i][j] -= f * m[t][j]
-                    if m[i][t]:  # promote the smaller remainder to pivot
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    f = m[t][j] // m[t][t]
-                    for i in range(t, rows):
-                        m[i][j] -= f * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # Row and column t are clear; enforce the divisibility chain.
-            stray = None
-            for i in range(t + 1, rows):
-                if any(m[i][j] % m[t][t] for j in range(t + 1, cols)):
-                    stray = i
-                    break
-            if stray is None:
-                break
-            for j in range(t, cols):
-                m[t][j] += m[stray][j]
-        divisors.append(abs(m[t][t]))
-        t += 1
-    return divisors
+    Pairwise gcd/lcm in selection-sort order sorts each prime's exponents
+    among the blocks' last divisors, which makes them a divisibility chain.
+    """
+    ends = [abs(ds[-1]) for ds in form.minors if ds[-1]]
+    for i in range(len(ends)):
+        for j in range(i + 1, len(ends)):
+            g = math.gcd(ends[i], ends[j])
+            ends[i], ends[j] = g, ends[i] * ends[j] // g
+    return [1] * sum(len(ds) - 1 for ds in form.minors) + ends
 
 
 @dataclass(frozen=True)
@@ -227,25 +230,15 @@ class FormInvariants:
     elementary_divisors: tuple[int, ...]
 
 
-def form_invariants(matrix: SymIntMatrix) -> FormInvariants:
-    """Rank, determinant, signature, parity and elementary divisors.
-
-    The signature and the determinant share the matrix's one Bareiss
-    pass.  A nonzero determinant means full rank, and then the elementary
-    divisors are positive integers whose product is |det|; so |det| = 1
-    forces them all to be 1, and only other forms run the Smith reduction.
-    """
-    sig = signature(matrix)
-    det = det_int(matrix)
-    if abs(det) == 1:
-        divisors = (1,) * matrix.order
-    else:
-        divisors = tuple(smith_normal_form(matrix))
+def form_invariants(form: TridiagonalForm) -> FormInvariants:
+    """Rank, determinant, signature, parity and elementary divisors."""
+    sig = signature(form)
+    divisors = tuple(smith_normal_form(form))
     return FormInvariants(
         rank=len(divisors),
-        determinant=det,
+        determinant=det_int(form),
         signature=sig,
-        parity=parity(matrix),
+        parity=parity(form),
         elementary_divisors=divisors,
     )
 
@@ -272,7 +265,7 @@ def identify(inv: FormInvariants) -> ConnectSum | None:
 @dataclass(frozen=True)
 class ConsistencyReport:
     ok: bool
-    invariants: FormInvariants
+    invariants: FormInvariants | None  # None when the congruence fails
     classified: ConnectSum
     identified: ConnectSum | None
     failures: tuple[str, ...]
@@ -286,16 +279,20 @@ class ConsistencyReport:
 def consistency_check(path: DualPath) -> ConsistencyReport:
     """Cross-validate the classifier against the linking-matrix form.
 
-    The Kirby linking matrix of the walk must have rank twice the dual
-    step count, zero signature, a unimodular nondegenerate part, and odd
-    parity exactly when the classifier emits a twisted summand; its
-    recognized connect sum must match the classifier's normal form.  Any
-    mismatch points at a linking sign-convention bug.
+    The linking matrix must be certified tridiagonal by `congruence`,
+    and then have rank twice the dual step count, zero signature, a
+    unimodular nondegenerate part, and odd parity exactly when the
+    classifier emits a twisted summand; its recognized connect sum must
+    match the classifier's normal form.  Any mismatch points at a
+    linking sign-convention bug.
     """
     link = construct.kirby_link(path)
-    matrix = SymIntMatrix(link.linking_matrix)
-    inv = form_invariants(matrix)
     classified = construct.classify(path)
+    try:
+        form = congruence(SymIntMatrix(link.linking_matrix), link.curves)
+    except CongruenceError as exc:
+        return ConsistencyReport(False, None, classified, None, (f"linking form: {exc}",))
+    inv = form_invariants(form)
     identified = identify(inv)
     failures = []
     expected_rank = 2 * classified.total

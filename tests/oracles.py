@@ -1,8 +1,8 @@
 """Brute-force oracles, kept independent of the library's algorithms.
 
-Everything here works by exhaustive scanning so it is slow but obviously
-correct; tests freeze expected values computed this way or compare
-library output against these directly.
+Everything here works by exhaustive scanning or dense elimination, so it
+is slow but obviously correct; tests freeze expected values computed this
+way or compare library output against these directly.
 """
 
 from __future__ import annotations
@@ -123,6 +123,176 @@ def char_poly_signature(rows):
     positive = sign_changes(poly)
     negative = sign_changes([c * (-1) ** i for i, c in enumerate(poly)])
     return positive - negative
+
+
+# --- dense integer forms ---------------------------------------------------
+#
+# The reference for `spinebound.forms`: one symmetric fraction-free Bareiss
+# pass per matrix and a Smith reduction, O(n^3) on the full matrix, with no
+# use of the slopes the library's congruence is built from.
+
+
+def dense_det(rows):
+    return _det(_leading_minors(rows), len(rows))
+
+
+def _det(minors, order):
+    """Exact determinant: the last leading minor when the rank is full."""
+    if len(minors) < order:
+        return 0
+    return minors[-1] if minors else 1
+
+
+def dense_signature(rows):
+    """Jacobi's rule on the nonzero leading minors of a congruent matrix."""
+    return _jacobi(_leading_minors(rows))
+
+
+def _jacobi(minors):
+    total = 0
+    prev = 1
+    for d in minors:
+        total += 1 if (d > 0) == (prev > 0) else -1
+        prev = d
+    return total
+
+
+def dense_smith(rows):
+    """The elementary divisors d_1 | d_2 | ..., zeros omitted."""
+    return _snf([list(row) for row in rows])
+
+
+def dense_invariants(rows):
+    """(rank, det, signature, parity, elementary divisors) from one pass.
+
+    A nonzero determinant means full rank, and then the elementary
+    divisors are positive integers whose product is |det|; so |det| = 1
+    forces them all to be 1, and only other forms run the Smith reduction.
+    """
+    minors = _leading_minors(rows)
+    det = _det(minors, len(rows))
+    divisors = (1,) * len(rows) if abs(det) == 1 else tuple(dense_smith(rows))
+    even = all(row[i] % 2 == 0 for i, row in enumerate(rows))
+    return len(divisors), det, _jacobi(minors), "even" if even else "odd", divisors
+
+
+def _leading_minors(rows) -> list[int]:
+    """Nonzero leading principal minors d_1, d_2, ... of a congruent matrix.
+
+    Symmetric fraction-free Bareiss elimination.  The active block holds
+    the bordered minors det M[L+i, L+j] over the pivots L eliminated so
+    far; each step replaces it by (pivot*m_ij - m_0i*m_0j) // prev, an
+    exact division by Sylvester's identity.  The block is symmetric, so
+    it is stored as its upper triangle: row i holds the entries j >= i,
+    and each step computes only those.  A zero pivot is replaced by a
+    unimodular congruence on active indices (`_make_pivot`): a symmetric
+    swap with a nonzero diagonal entry, else x_0 -> x_0 + x_j, which
+    gives the pivot 2*m_0j.  By multilinearity of the minors the block
+    transforms the same way, so the division stays exact.  An index
+    whose row is zero in the active block spans part of the radical and
+    is dropped, so the list has one entry per unit of rank.
+    """
+    tri = [list(row[i:]) for i, row in enumerate(rows)]
+    minors: list[int] = []
+    prev = 1
+    while tri:
+        if tri[0][0] == 0:
+            k = next((i for i in range(1, len(tri)) if tri[i][0]), None)
+            if k is None and not any(tri[0]):  # rank deficit
+                del tri[0]
+                continue
+            tri = _make_pivot(tri, k)
+        top = tri[0]
+        pivot = top[0]
+        tri = [
+            [(pivot * x - a * y) // prev for x, y in zip(row, top[i:])]
+            for i, (a, row) in enumerate(zip(top[1:], tri[1:]), 1)
+        ]
+        minors.append(pivot)
+        prev = pivot
+    return minors
+
+
+def _make_pivot(tri: list[list[int]], k: int | None) -> list[list[int]]:
+    """The triangle after the congruence that makes its zero pivot nonzero.
+
+    With a nonzero diagonal entry k, swap indices 0 and k; otherwise add
+    x_k to x_0 for the first k with m_0k != 0.  Both moves act on the
+    full block, so it is expanded here and folded back into a triangle.
+    """
+    n = len(tri)
+    block = [[0] * n for _ in range(n)]
+    for i, row in enumerate(tri):
+        for j, x in enumerate(row, i):
+            block[i][j] = block[j][i] = x
+    if k is not None:
+        block[0], block[k] = block[k], block[0]
+        for row in block:
+            row[0], row[k] = row[k], row[0]
+    else:
+        k = next(j for j, x in enumerate(block[0]) if x)
+        for row in block:
+            row[0] += row[k]
+        block[0] = [x + y for x, y in zip(block[0], block[k])]
+    return [row[i:] for i, row in enumerate(block)]
+
+
+def _snf(m: list[list[int]]) -> list[int]:
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    divisors = []
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        # Each promotion below strictly shrinks |m[t][t]|, so this ends.
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    f = m[i][t] // m[t][t]
+                    for j in range(t, cols):
+                        m[i][j] -= f * m[t][j]
+                    if m[i][t]:  # promote the smaller remainder to pivot
+                        m[t], m[i] = m[i], m[t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    f = m[t][j] // m[t][t]
+                    for i in range(t, rows):
+                        m[i][j] -= f * m[i][t]
+                    if m[t][j]:
+                        for i in range(t, rows):
+                            m[i][t], m[i][j] = m[i][j], m[i][t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # Row and column t are clear; enforce the divisibility chain.
+            stray = None
+            for i in range(t + 1, rows):
+                if any(m[i][j] % m[t][t] for j in range(t + 1, cols)):
+                    stray = i
+                    break
+            if stray is None:
+                break
+            for j in range(t, cols):
+                m[t][j] += m[stray][j]
+        divisors.append(abs(m[t][t]))
+        t += 1
+    return divisors
 
 
 def wrap_segments_fraction(p, q, x_phase, y_phase):

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from spinebound.cli import _wrap_segments, main
+from spinebound.cli import _blue_lines, _wrap_segments, main
 
 
 def run(capsys, *argv):
@@ -258,6 +259,82 @@ class TestRenderAndVerify:
                 for seg in oracles.wrap_segments_fraction(p, q, *phases)
             ]
             assert _wrap_segments(p, q, *phases) == want, (p, q, phases)
+
+    def test_blue_line_count_matches_segments(self):
+        for p in range(-40, 41):
+            for q in range(1, 41):
+                if p and math.gcd(p, q) == 1:
+                    segments = _wrap_segments(p, q, Fraction(0), Fraction(1, 2))
+                    assert _blue_lines(p, q) == len(segments), (p, q)
+        assert _blue_lines(1, 0) == _blue_lines(-1, 0) == _blue_lines(0, 1) == 1
+
+    def test_render_refuses_a_huge_curve(self, capsys, tmp_path):
+        """A 1.6 kB diagram of the walk 0/1, 1/0, (10^20+1)/1 would need
+        10^20 lines; the count comes first, so this ends at once."""
+        walk = {
+            "mode": "dual",
+            "systems": [[{"p": 0, "q": 1}], [{"p": 1, "q": 0}], [{"p": str(10**20 + 1), "q": 1}]],
+        }
+        walk_file, diagram, svg = tmp_path / "w.json", tmp_path / "d.json", tmp_path / "d.svg"
+        walk_file.write_text(json.dumps(walk))
+        assert run(capsys, "build", "--path-file", str(walk_file), "--out", str(diagram))[0] == 0
+        code, out, err = run(capsys, "render", str(diagram), str(svg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "100000000000000000003 lines" in err
+        assert not svg.exists()
+
+    def test_verify_names_the_linking_entry(self, capsys, diagram_file):
+        doc = json.loads(diagram_file.read_text())
+        doc["kirby"]["linking_matrix"][0][1] += 1
+        diagram_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(diagram_file))
+        assert code == 2 and out.startswith("FAIL ")
+        assert "FAIL linking matrix entry (0, 1): file says 2, recomputed 1\n" in out
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop(), "linking matrix: file has 3 rows, recomputed 4"),
+            (
+                lambda m: m[2].pop(),
+                "linking matrix row 2: file says [2, 6, 14], recomputed 4 entries",
+            ),
+            (
+                lambda m: m[3].__setitem__(0, True),
+                "linking matrix entry (3, 0): file says true, recomputed 1",
+            ),
+        ],
+        ids=["row-count", "row-length", "entry-type"],
+    )
+    def test_verify_names_the_linking_shape(self, capsys, diagram_file, edit, message):
+        doc = json.loads(diagram_file.read_text())
+        edit(doc["kirby"]["linking_matrix"])
+        diagram_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(diagram_file))
+        assert code == 2 and out.startswith("FAIL ")
+        assert f"FAIL {message}\n" in out
+
+    @pytest.mark.parametrize("version", ["anything", 2, True, None])
+    def test_verify_and_render_read_the_version(self, capsys, diagram_file, version):
+        doc = json.loads(diagram_file.read_text())
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        diagram_file.write_text(json.dumps(doc))
+        svg = diagram_file.with_suffix(".svg")
+        for argv in (["verify", str(diagram_file)], ["render", str(diagram_file), str(svg)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: diagram version ")
+        assert not svg.exists()
+
+    def test_verify_rejects_unknown_keys(self, capsys, diagram_file):
+        doc = json.loads(diagram_file.read_text())
+        doc["unexpected"] = [1, 2]
+        diagram_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(diagram_file))
+        assert (code, out) == (2, 'FAIL unknown top-level key "unexpected"\n')
 
     def test_verify_catches_tampered_framing(self, capsys, diagram_file):
         doc = json.loads(diagram_file.read_text())

@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from spinebound.cli import main
 
-# Integers stay small: `render` draws every wrap of a (p, q) blue curve, so
-# its work grows with |p| + |q| and not with the size of the file.
+# Integers reach 64 bits: `render` counts a diagram's lines before it draws
+# them and refuses more than its limit, so a large slope ends at once.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-64, 64)
+    | st.integers(-(2**63), 2**63)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
