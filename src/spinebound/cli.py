@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import construct, forms, lens as lens_mod
@@ -45,6 +44,13 @@ _EXIT_EXHAUSTED = 3
 def _pack_int(n: int):
     """Ints beyond the float53 range travel as decimal strings."""
     return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
+
+
+def _pack_row(row) -> list:
+    """`_pack_int` of every entry, as one copy when the whole row fits."""
+    if -_JSON_INT_LIMIT <= min(row) and max(row) <= _JSON_INT_LIMIT:
+        return list(row)
+    return [_pack_int(x) for x in row]
 
 
 def _unpack_int(v) -> int:
@@ -108,6 +114,30 @@ def _matrix_difference(got, want: list) -> str | None:
                     f"recomputed {json.dumps(y)}"
                 )
     return None
+
+
+def _records_difference(what: str, got, want: list) -> str | None:
+    """Where the file's list of curve records first differs from `want`,
+    else None: the count, or the first differing record and field."""
+    if _same(got, want):
+        return None
+    if type(got) is not list:
+        return f"{what}s: file says {json.dumps(got)}, recomputed a list of {len(want)}"
+    if len(got) != len(want):
+        return f"{what}s: file has {len(got)}, recomputed {len(want)}"
+    i, rec, expected = next((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if not _same(g, w))
+    if type(rec) is not dict:
+        return f"{what} {i}: file says {json.dumps(rec)}, recomputed {json.dumps(expected)}"
+    for key, value in expected.items():
+        if key not in rec:
+            return f"{what} {i} {json.dumps(key)}: missing, recomputed {json.dumps(value)}"
+        if not _same(rec[key], value):
+            return (
+                f"{what} {i} {json.dumps(key)}: file says {json.dumps(rec[key])}, "
+                f"recomputed {json.dumps(value)}"
+            )
+    unknown = next(key for key in rec if key not in expected)
+    return f"{what} {i}: unknown key {json.dumps(unknown)}"
 
 
 def _slope_doc(s: Slope) -> dict:
@@ -177,9 +207,7 @@ def _diagram_doc(
                 }
                 for c in link.curves
             ],
-            "linking_matrix": [
-                [_pack_int(x) for x in row] for row in link.linking_matrix
-            ],
+            "linking_matrix": [_pack_row(row) for row in link.linking_matrix],
         },
         "classification": {
             "raw_untwisted": csum.raw_untwisted,
@@ -194,8 +222,57 @@ def _diagram_doc(
     }
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dump_json(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\n"`, byte for byte, for any JSON value.
+
+    CPython's C encoder runs only when `indent` is None, so `json.dumps`
+    with an indent encodes every diagram in pure Python and gives each
+    linking-matrix entry its own call.  Here strings and keys go through
+    the C escaper, and a list of plain ints (not bools) is one join.
+    Every other scalar is written by `json.dumps` itself.
+    """
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(v, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON text of `v`, nested after `newline`, to `out`."""
+    if isinstance(v, str):
+        out.append(_ESCAPE(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, v)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for x in v:
+            out.append(sep)
+            _encode(x, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, x in v.items():
+            out.append(sep + _ESCAPE(k) + ": ")
+            _encode(x, inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif type(v) is int:
+        out.append(int.__repr__(v))
+    else:  # bool, None, float: json's own spelling
+        out.append(json.dumps(v))
 
 
 def _bound_doc(result: lens_mod.BoundResult) -> dict:
@@ -299,6 +376,12 @@ def cmd_lens_bounds(args) -> int:
     return _EXIT_OK
 
 
+def _cannot_write(file: str, exc: OSError) -> int:
+    """Report an output file that could not be written; the exit code."""
+    print(f"error: cannot write {file}: {exc}", file=sys.stderr)
+    return _EXIT_INPUT
+
+
 def _load_path_file(path_file: str) -> construct.DualPath:
     doc = json.loads(Path(path_file).read_text())
     return _path_from_doc(doc)
@@ -330,7 +413,10 @@ def cmd_build(args) -> int:
     link = construct.kirby_link(path)
     csum = construct.classify(path)
     stats = construct.diagram_stats(diagram, csum)
-    Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum, stats)))
+    try:
+        Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum, stats)))
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"genus {stats.total_genus} {csum.normal_form}")
     return _EXIT_OK
 
@@ -344,7 +430,10 @@ def cmd_table(args) -> int:
     except ValueError as exc:  # a cap below some lens space's complexity
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    try:
+        out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
@@ -384,44 +473,53 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _wrap_segments(p: int, q: int, x_phase: Fraction, y_phase: Fraction):
-    """Segments of the (p, q) line on the unit square with wrapping.
+_BLUE_TAIL = f'" stroke="{_COLORS["blue"]}" stroke-width="{_fmt(2.0)}" stroke-linecap="round"/>'
 
-    The curve is t -> (p*t + x_phase, q*t + y_phase) mod 1 for t in
-    [0, 1]; it is cut at the t where either coordinate crosses an
-    integer.  Every breakpoint and endpoint lies on the lattice 1/u, so
-    the cuts are enumerated in exact integers and each endpoint is
-    returned as the correctly rounded float n / u.
+
+def _blue_line_elements(ox: float, p: int, q: int) -> list[str]:
+    """The `<line>` elements of the blue (p, q) curve, p != 0 < q, in the
+    square whose left edge is at `ox`.
+
+    The curve is t -> (p*t, q*t + 1/2) mod 1 for t in [0, 1], cut where
+    a coordinate crosses an integer.  With u = lcm(|p|, 2q) every cut is
+    a lattice point a/u: x crosses at the multiples of u/|p| and y at the
+    odd multiples of u/(2q).  A coordinate's numerator at a cut is its
+    value times u, reduced mod u, and is 0 at that coordinate's own cuts.
+    Each numerator is formatted once, and the segment that ends at a cut
+    shares that text with the one that starts there.  A coordinate that
+    wraps at the cut reads u there instead of 0: at the end of the
+    segment before it for a positive step, at the start of the one after
+    it for a negative one.  Each endpoint n/u is the correctly rounded
+    float of the exact rational, as in the reference
+    `wrap_segments_fraction` of the tests.
     """
-    if p == 0 and q == 0:
-        return []
-    u = math.lcm(max(abs(p), 1) * x_phase.denominator, max(abs(q), 1) * y_phase.denominator)
-    axes = [
-        (step, phase.numerator * (u // phase.denominator))
-        for step, phase in ((p, x_phase), (q, y_phase))
+    u = math.lcm(abs(p), 2 * q)
+    dx, dy = u // abs(p), u // (2 * q)
+    cuts = sorted({0, u, *range(dx, u, dx), *range(dy, u, 2 * dy)})
+    square, margin, half, tail = _SQUARE, _MARGIN, u // 2, _BLUE_TAIL
+
+    def x_text(n: int) -> str:
+        return f"{ox + n / u * square:.3f}"
+
+    def y_text(n: int) -> str:
+        return f"{margin + (1.0 - n / u) * square:.3f}"
+
+    xn = [p * a % u for a in cuts]
+    yn = [(q * a + half) % u for a in cuts]
+    x0, xu, y0, yu = x_text(0), x_text(u), y_text(0), y_text(u)
+    x = [x0 if n == 0 else x_text(n) for n in xn]
+    y_start = [y0 if n == 0 else y_text(n) for n in yn]
+    y_end = [yu if n == 0 else t for n, t in zip(yn, y_start)]
+    x_wrapped = [xu if n == 0 else t for n, t in zip(xn, x)]
+    x_start, x_end = (x, x_wrapped) if p > 0 else (x_wrapped, x)
+    return [
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}{tail}'
+        for x1, y1, x2, y2 in zip(x_start, y_start, x_end[1:], y_end[1:])
     ]
-    breaks = {0, u}
-    for step, phase in axes:
-        if step == 0:
-            continue
-        # Crossings of the integer k at t = (k*u - phase) / (step*u), 0 < t < 1.
-        lo, hi = sorted((phase, step * u + phase))
-        breaks.update((k * u - phase) // step for k in range(lo // u + 1, -(-hi // u)))
-    ts = sorted(breaks)
-    segments = []
-    for a0, a1 in zip(ts, ts[1:]):
-        ends = []
-        for step, phase in axes:
-            # Shift by the floor of the coordinate at the segment midpoint.
-            shift = phase - (step * (a0 + a1) + 2 * phase) // (2 * u) * u
-            ends.append(((step * a0 + shift) / u, (step * a1 + shift) / u))
-        (x0, x1), (y0, y1) = ends
-        segments.append((x0, y0, x1, y1))
-    return segments
 
 
 def _blue_lines(p: int, q: int) -> int:
-    """How many segments `_wrap_segments(p, q, 0, 1/2)` cuts a curve into.
+    """How many segments the blue (p, q) curve is cut into.
 
     p*t crosses an integer |p| - 1 times and q*t + 1/2 crosses one q
     times for t in (0, 1); they cross together only at t = 1/2, when p
@@ -517,19 +615,13 @@ def _render_svg(doc: dict) -> str:
             else:
                 raise ValueError(f"unknown scaffold curve kind {kind!r}")
 
-    tail = f'" stroke="{_COLORS["blue"]}" stroke-width="{_fmt(2.0)}" stroke-linecap="round"/>'
     for copy, p, q in curves:
         if q == 0:
-            square_line(copy, 0, Fraction(1, 2), 1, Fraction(1, 2), _COLORS["blue"])
+            square_line(copy, 0, 0.5, 1, 0.5, _COLORS["blue"])
         elif p == 0:
-            square_line(copy, Fraction(1, 2), 0, Fraction(1, 2), 1, _COLORS["blue"])
+            square_line(copy, 0.5, 0, 0.5, 1, _COLORS["blue"])
         else:
-            ox = origin(copy)
-            parts.extend(
-                f'<line x1="{ox + x0 * _SQUARE:.3f}" y1="{_MARGIN + (1.0 - y0) * _SQUARE:.3f}" '
-                f'x2="{ox + x1 * _SQUARE:.3f}" y2="{_MARGIN + (1.0 - y1) * _SQUARE:.3f}{tail}'
-                for x0, y0, x1, y1 in _wrap_segments(p, q, Fraction(0), Fraction(1, 2))
-            )
+            parts.extend(_blue_line_elements(origin(copy), p, q))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -575,7 +667,10 @@ def cmd_render(args) -> int:
     except (KeyError, ValueError, InvalidSlopeError) as exc:
         print(f"error: malformed diagram: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    Path(args.output).write_text(svg)
+    try:
+        Path(args.output).write_text(svg)
+    except OSError as exc:
+        return _cannot_write(args.output, exc)
     return _EXIT_OK
 
 
@@ -604,19 +699,25 @@ def cmd_verify(args) -> int:
         problems.extend(f"unknown top-level key {json.dumps(k)}" for k in doc if k not in expected)
         for key in ("genus_per_copy", "num_copies"):
             if not _same(doc.get(key), expected[key]):
-                problems.append(f"{key}: file says {doc.get(key)}, recomputed {expected[key]}")
+                got = json.dumps(doc[key]) if key in doc else "missing"
+                problems.append(f"{key}: file says {got}, recomputed {json.dumps(expected[key])}")
         for color in ("blue", "red", "green"):
-            if not _same(doc.get(color), expected[color]):
-                problems.append(f"{color} curves do not match the recomputation")
+            difference = _records_difference(f"{color} curve", doc.get(color), expected[color])
+            if difference:
+                problems.append(difference)
         file_curves = kirby.get("curves", [])
         for want, got in zip(expected["kirby"]["curves"], file_curves):
             if not _same(got, want):
                 problems.append(
                     f"kirby curve at layer {want['layer']} coordinate "
-                    f"{want['coordinate']}: file says {got}, recomputed {want}"
+                    f"{want['coordinate']}: file says {json.dumps(got)}, "
+                    f"recomputed {json.dumps(want)}"
                 )
         if len(file_curves) != len(expected["kirby"]["curves"]):
-            problems.append("kirby curve count does not match")
+            problems.append(
+                f"kirby curves: file has {len(file_curves)}, "
+                f"recomputed {len(expected['kirby']['curves'])}"
+            )
         difference = _matrix_difference(
             kirby.get("linking_matrix"), expected["kirby"]["linking_matrix"]
         )
@@ -626,7 +727,7 @@ def cmd_verify(args) -> int:
             problems.append("classification does not match the recomputation")
         if not _same(doc.get("stats"), expected["stats"]):
             problems.append("stats do not match the recomputation")
-        report = forms.consistency_check(path)
+        report = forms.consistency_check(link, csum)
         if not report.ok:
             problems.extend(f"forms: {f}" for f in report.failures)
     if problems:

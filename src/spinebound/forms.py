@@ -57,8 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from . import construct
-from .construct import ConnectSum, DualPath, KirbyCurve
+from .construct import ConnectSum, FramedLink, KirbyCurve
 from .farey import farey_det
 
 
@@ -276,18 +275,19 @@ class ConsistencyReport:
         return "inconsistent: " + "; ".join(self.failures)
 
 
-def consistency_check(path: DualPath) -> ConsistencyReport:
+def consistency_check(link: FramedLink, classified: ConnectSum) -> ConsistencyReport:
     """Cross-validate the classifier against the linking-matrix form.
 
-    The linking matrix must be certified tridiagonal by `congruence`,
+    `link` is a walk's framed link (`construct.kirby_link`) and
+    `classified` the same walk's connect sum (`construct.classify`); the
+    caller builds both once and may write them out as well.  The
+    linking matrix must be certified tridiagonal by `congruence`,
     and then have rank twice the dual step count, zero signature, a
     unimodular nondegenerate part, and odd parity exactly when the
     classifier emits a twisted summand; its recognized connect sum must
     match the classifier's normal form.  Any mismatch points at a
     linking sign-convention bug.
     """
-    link = construct.kirby_link(path)
-    classified = construct.classify(path)
     try:
         form = congruence(SymIntMatrix(link.linking_matrix), link.curves)
     except CongruenceError as exc:

@@ -181,7 +181,7 @@ def test_c7_oracle_cross_validation():
             # keep the run desk-scale; the congruence is O(n^2) per matrix
             resampled += 1
             continue
-        report_ = consistency_check(path)
+        report_ = consistency_check(kirby_link(path), classify(path))
         assert report_.ok, (path, report_.failures)
         dual_steps = sum(
             1
@@ -340,7 +340,7 @@ def test_c10_long_walk_consistency():
     orders = []
     for name, path in long_walks:
         order = len(kirby_link(path).linking_matrix)
-        report_ = consistency_check(path)
+        report_ = consistency_check(kirby_link(path), classify(path))
         assert report_.ok, (name, report_.failures)
         inv = report_.invariants
         assert inv.signature == 0

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from spinebound.cli import _blue_lines, _wrap_segments, main
+from spinebound.cli import _blue_line_elements, _blue_lines, main
+
+
+# Every reduced blue slope p/q with 0 < |p| <= 80 and 0 < q <= 80, p
+# negated when the curve is reflected.
+BLUE_SLOPES = [
+    (p, q) for p in range(-80, 81) for q in range(1, 81) if p and math.gcd(p, q) == 1
+]
 
 
 def run(capsys, *argv):
@@ -245,27 +251,25 @@ class TestRenderAndVerify:
         )
 
     def test_wrap_segments_match_rational_reference(self):
-        rng = random.Random(26)
-        steps = list(range(-80, 81))
-        for trial in range(300):
-            p, q = rng.choice(steps), rng.choice(steps)
-            if trial % 10 == 0:
-                p = 0
-            elif trial % 10 == 1:
-                q = 0
-            phases = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2)]
+        """Every blue curve's lines are the rational reference's segments,
+        formatted with the float expressions of the segment-per-line renderer."""
+        tail = '" stroke="#0000CC" stroke-width="2.000" stroke-linecap="round"/>'
+        for p, q in BLUE_SLOPES:
+            ox = 10.0 + (p % 7) * 120.0
             want = [
-                tuple(float(c) for c in seg)
-                for seg in oracles.wrap_segments_fraction(p, q, *phases)
+                f'<line x1="{ox + float(x0) * 100.0:.3f}" '
+                f'y1="{10.0 + (1.0 - float(y0)) * 100.0:.3f}" '
+                f'x2="{ox + float(x1) * 100.0:.3f}" '
+                f'y2="{10.0 + (1.0 - float(y1)) * 100.0:.3f}{tail}'
+                for x0, y0, x1, y1 in oracles.wrap_segments_fraction(
+                    p, q, Fraction(0), Fraction(1, 2)
+                )
             ]
-            assert _wrap_segments(p, q, *phases) == want, (p, q, phases)
+            assert _blue_line_elements(ox, p, q) == want, (p, q)
 
     def test_blue_line_count_matches_segments(self):
-        for p in range(-40, 41):
-            for q in range(1, 41):
-                if p and math.gcd(p, q) == 1:
-                    segments = _wrap_segments(p, q, Fraction(0), Fraction(1, 2))
-                    assert _blue_lines(p, q) == len(segments), (p, q)
+        for p, q in BLUE_SLOPES:
+            assert _blue_lines(p, q) == len(_blue_line_elements(10.0, p, q)), (p, q)
         assert _blue_lines(1, 0) == _blue_lines(-1, 0) == _blue_lines(0, 1) == 1
 
     def test_render_refuses_a_huge_curve(self, capsys, tmp_path):

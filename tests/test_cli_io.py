@@ -1,0 +1,195 @@
+"""The CLI's file layer: the JSON writer's bytes, pinned diagram digests,
+unwritable output paths and the messages of a failing `verify`."""
+
+import hashlib
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinebound.cli import _dump_json, main
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+# Ints on both sides of the float53 limit, bools mixed into int lists,
+# every code point in strings and keys, and empty containers at any depth.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**53 - 3, 2**53 + 3)
+    | st.integers(-(2**53) - 3, -(2**53) + 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers() | st.booleans(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(JSON_VALUES)
+def test_dump_json_is_json_dumps_indent_2(value):
+    assert _dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"": {}}],
+        [True, 1, False, 0],
+        [1, True],
+        [2**53 - 1, 2**53, -(2**53), 10**40],
+        {"\x00é\U0001f600": ["\n\t\"\\", None, 1.5, -0.0, 1e300]},
+    ],
+)
+def test_dump_json_edge_values(value):
+    assert _dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_build_19_7_even_pinned_bytes(capsys, tmp_path):
+    out = tmp_path / "d.json"
+    assert run(capsys, "build", "19", "7", "--mode", "even", "--out", str(out))[0] == 0
+    # Digest of the file written by `json.dumps(doc, indent=2)`.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f7a5c80473f3d395246c2d1fe3a25e6e8759882c0abc2814315fd301a65e5857"
+    )
+
+
+def test_framings_beyond_float53_pinned_bytes(capsys, tmp_path):
+    """The walk 0/1, 1/0, N/1, (Nk+1)/k with N = k = 10^10 has framings and
+    linking entries above 2^53, so its matrix rows mix strings and ints."""
+    n = k = 10**10
+    walk = {
+        "mode": "dual",
+        "systems": [
+            [{"p": 0, "q": 1}],
+            [{"p": 1, "q": 0}],
+            [{"p": n, "q": 1}],
+            [{"p": str(n * k + 1), "q": k}],
+        ],
+    }
+    walk_file, out = tmp_path / "w.json", tmp_path / "d.json"
+    walk_file.write_text(json.dumps(walk))
+    assert run(capsys, "build", "--path-file", str(walk_file), "--out", str(out))[0] == 0
+    rows = json.loads(out.read_text())["kirby"]["linking_matrix"]
+    assert {type(x) for row in rows for x in row} == {int, str}
+    assert {type(x) for x in rows[1]} == {int, str}
+    # Digest of the file written by `json.dumps(doc, indent=2)`.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a3cd60b9560e0e048bb3d6f7ec61f72800d05e6b907d53a961870b647ec16f2a"
+    )
+
+
+def _assert_cannot_write(code, out, err, target):
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_build_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "d.json"
+    _assert_cannot_write(*run(capsys, "build", "7", "2", "--out", str(target)), target)
+
+
+def test_table_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    _assert_cannot_write(*run(capsys, "table", "--pmax", "5", "--out", str(target)), target)
+
+
+def test_render_unwritable_output(capsys, tmp_path):
+    diagram, target = tmp_path / "d.json", tmp_path / "missing" / "x.svg"
+    assert run(capsys, "build", "7", "2", "--out", str(diagram))[0] == 0
+    _assert_cannot_write(*run(capsys, "render", str(diagram), str(target)), target)
+
+
+def load_inputs() -> types.ModuleType:
+    """perfbench/inputs.py as a module, without writing a bytecode cache next to it."""
+    module = types.ModuleType("perfbench_inputs")
+    module.__file__ = str(INPUTS)
+    sys.modules[module.__name__] = module  # dataclasses look their module up by name
+    try:
+        exec(compile(INPUTS.read_text(), str(INPUTS), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.fixture
+def diagram(capsys, tmp_path):
+    """The benchmark's control walk built into a diagram file, and its document."""
+    walk_file, out = tmp_path / "w.json", tmp_path / "d.json"
+    load_inputs().control_walk().write(walk_file)
+    assert run(capsys, "build", "--path-file", str(walk_file), "--out", str(out))[0] == 0
+    return out, json.loads(out.read_text())
+
+
+def _verify_edited(capsys, diagram, edit) -> list[str]:
+    out, doc = diagram
+    edit(doc)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 2 and stdout.startswith("FAIL ")
+    return stdout.splitlines()
+
+
+def test_verify_names_the_tampered_blue_field(capsys, diagram):
+    """The benchmark's `blue.reflected` tamper is named by curve and field."""
+    reflected = diagram[1]["blue"][0]["reflected"]
+    lines = _verify_edited(
+        capsys, diagram, lambda doc: load_inputs().tamper(doc, "blue.reflected")
+    )
+    assert lines == [
+        f'FAIL blue curve 0 "reflected": file says {json.dumps(not reflected)}, '
+        f"recomputed {json.dumps(reflected)}"
+    ]
+
+
+def test_verify_names_curve_counts(capsys, diagram):
+    count = len(diagram[1]["red"])
+    lines = _verify_edited(capsys, diagram, lambda doc: doc["red"].pop())
+    assert lines == [f"FAIL red curves: file has {count - 1}, recomputed {count}"]
+
+
+def test_verify_names_missing_and_unknown_fields(capsys, diagram):
+    def edit(doc):
+        del doc["green"][1]["kind"]
+        doc["blue"][2]["extra"] = 1
+
+    lines = _verify_edited(capsys, diagram, edit)
+    assert lines[0] == 'FAIL blue curve 2: unknown key "extra"'
+    assert lines[1].startswith('FAIL green curve 1 "kind": missing, recomputed "')
+
+
+def test_verify_prints_json_values(capsys, diagram):
+    def edit(doc):
+        doc["genus_per_copy"] = True
+        del doc["num_copies"]
+        doc["kirby"]["curves"][0]["framing"] = None
+
+    want = dict(diagram[1]["kirby"]["curves"][0])
+    copies = diagram[1]["num_copies"]
+    lines = _verify_edited(capsys, diagram, edit)
+    assert lines[:2] == [
+        "FAIL genus_per_copy: file says true, recomputed 1",
+        f"FAIL num_copies: file says missing, recomputed {copies}",
+    ]
+    assert lines[2] == (
+        f"FAIL kirby curve at layer {want['layer']} coordinate {want['coordinate']}: "
+        f"file says {json.dumps({**want, 'framing': None})}, recomputed {json.dumps(want)}"
+    )

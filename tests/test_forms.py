@@ -19,6 +19,7 @@ from spinebound import (
     SymIntMatrix,
     TridiagonalForm,
     canonical,
+    classify,
     congruence,
     consistency_check,
     det_int,
@@ -442,17 +443,20 @@ class TestIdentify:
 class TestConsistency:
     def test_integer_family(self):
         for n in range(2, 10):
-            report = consistency_check(path_from_lens(LensSpace(n, 1), "any"))
+            path = path_from_lens(LensSpace(n, 1), "any")
+            report = consistency_check(kirby_link(path), classify(path))
             assert report.ok, report.failures
 
     def test_paper_walk_agrees_twisted(self):
-        report = consistency_check(path_from_lens(LensSpace(7, 2), "any"))
+        path = path_from_lens(LensSpace(7, 2), "any")
+        report = consistency_check(kirby_link(path), classify(path))
         assert report.ok
         assert report.classified.normal_form == "#2 S2x~S2"
         assert report.invariants.parity is Parity.ODD
 
     def test_even_walk_agrees_untwisted(self):
-        report = consistency_check(path_from_lens(LensSpace(7, 2), "even"))
+        path = path_from_lens(LensSpace(7, 2), "even")
+        report = consistency_check(kirby_link(path), classify(path))
         assert report.ok
         assert report.classified.normal_form == "#2 S2xS2"
         assert report.invariants.parity is Parity.EVEN
@@ -462,7 +466,7 @@ class TestConsistency:
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
-        report = consistency_check(prod)
+        report = consistency_check(kirby_link(prod), classify(prod))
         assert report.ok, report.failures
         matrix_order = len(kirby_link(prod).linking_matrix)
         assert report.invariants.rank == 6 < matrix_order
