@@ -116,28 +116,40 @@ def _matrix_difference(got, want: list) -> str | None:
     return None
 
 
+_MISSING = object()
+
+
+def _said(v) -> str:
+    """How a message quotes the file's value: its JSON, or `missing`."""
+    return "missing" if v is _MISSING else f"file says {json.dumps(v)}"
+
+
+def _object_difference(what: str, got, want: dict) -> str | None:
+    """Where the file's object first differs from `want`, else None: the
+    object itself, its first missing or differing key, or an unknown key."""
+    if _same(got, want):
+        return None
+    if type(got) is not dict:
+        return f"{what}: {_said(got)}, recomputed {json.dumps(want)}"
+    for key, value in want.items():
+        mine = got.get(key, _MISSING)
+        if not _same(mine, value):
+            return f"{what} {json.dumps(key)}: {_said(mine)}, recomputed {json.dumps(value)}"
+    unknown = next(key for key in got if key not in want)
+    return f"{what}: unknown key {json.dumps(unknown)}"
+
+
 def _records_difference(what: str, got, want: list) -> str | None:
     """Where the file's list of curve records first differs from `want`,
     else None: the count, or the first differing record and field."""
     if _same(got, want):
         return None
     if type(got) is not list:
-        return f"{what}s: file says {json.dumps(got)}, recomputed a list of {len(want)}"
+        return f"{what}s: {_said(got)}, recomputed a list of {len(want)}"
     if len(got) != len(want):
         return f"{what}s: file has {len(got)}, recomputed {len(want)}"
     i, rec, expected = next((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if not _same(g, w))
-    if type(rec) is not dict:
-        return f"{what} {i}: file says {json.dumps(rec)}, recomputed {json.dumps(expected)}"
-    for key, value in expected.items():
-        if key not in rec:
-            return f"{what} {i} {json.dumps(key)}: missing, recomputed {json.dumps(value)}"
-        if not _same(rec[key], value):
-            return (
-                f"{what} {i} {json.dumps(key)}: file says {json.dumps(rec[key])}, "
-                f"recomputed {json.dumps(value)}"
-            )
-    unknown = next(key for key in rec if key not in expected)
-    return f"{what} {i}: unknown key {json.dumps(unknown)}"
+    return _object_difference(f"{what} {i}", rec, expected)
 
 
 def _slope_doc(s: Slope) -> dict:
@@ -698,11 +710,13 @@ def cmd_verify(args) -> int:
         expected = _diagram_doc(diagram, link, csum, stats)
         problems.extend(f"unknown top-level key {json.dumps(k)}" for k in doc if k not in expected)
         for key in ("genus_per_copy", "num_copies"):
-            if not _same(doc.get(key), expected[key]):
-                got = json.dumps(doc[key]) if key in doc else "missing"
-                problems.append(f"{key}: file says {got}, recomputed {json.dumps(expected[key])}")
+            got = doc.get(key, _MISSING)
+            if not _same(got, expected[key]):
+                problems.append(f"{key}: {_said(got)}, recomputed {json.dumps(expected[key])}")
         for color in ("blue", "red", "green"):
-            difference = _records_difference(f"{color} curve", doc.get(color), expected[color])
+            difference = _records_difference(
+                f"{color} curve", doc.get(color, _MISSING), expected[color]
+            )
             if difference:
                 problems.append(difference)
         file_curves = kirby.get("curves", [])
@@ -723,10 +737,10 @@ def cmd_verify(args) -> int:
         )
         if difference:
             problems.append(difference)
-        if not _same(doc.get("classification"), expected["classification"]):
-            problems.append("classification does not match the recomputation")
-        if not _same(doc.get("stats"), expected["stats"]):
-            problems.append("stats do not match the recomputation")
+        for key in ("classification", "stats"):
+            difference = _object_difference(key, doc.get(key, _MISSING), expected[key])
+            if difference:
+                problems.append(difference)
         report = forms.consistency_check(link, csum)
         if not report.ok:
             problems.extend(f"forms: {f}" for f in report.failures)

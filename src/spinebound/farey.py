@@ -13,6 +13,14 @@ results are exact for the capped subgraph and upper bounds for the full
 graph.  (An uncapped search is ill-defined: 0/1 alone is adjacent to every
 1/q.)  All arithmetic is plain Python integer arithmetic, hence exact at
 every size.
+
+The search expands vertices in (q, p) order, and each expansion lists its
+neighbours in closed form: the slopes dual to v are x0 + t*v up to sign,
+all primitive and no two antipodal, so their canonical forms make two
+arithmetic runs that alternate in (q, p) order and are interleaved with
+no gcd, set or sort.  In the even graph, where every Farey triangle has
+one odd vertex, the neighbours of an even slope are every second member
+of each run.
 """
 
 from __future__ import annotations
@@ -148,17 +156,6 @@ class SlopePath:
         return " ".join(str(v) for v in self.vertices)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with x*a + y*b == g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        t, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - t * x1
-        y0, y1 = y1, y0 - t * y1
-    return a, x0, y0
-
-
 def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     """Mediant decomposition of a nonnegative slope.
 
@@ -172,48 +169,74 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     if s in (MERIDIAN, LONGITUDE):
         raise DomainError(f"{s} is a root of the mediant tree and has no parents")
     p, q = s.p, s.q
-    _, x, _ = _xgcd(p, q)
     # b1 in [1, q] with b1 == p^-1 (mod q); then a1*q - b1*p = -1.
-    b1 = (x - 1) % q + 1
+    b1 = pow(p, -1, q) or q
     a1 = (b1 * p - 1) // q
     pair = sorted((Slope(a1, b1), Slope(p - a1, q - b1)), key=lambda t: (t.q, t.p))
     return pair[0], pair[1]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def _neighbor_tuples(v: tuple[int, int], cap: int, even: bool = False) -> list[tuple[int, int]]:
+    """Canonical slopes dual to v within the cap box, sorted by (q, p);
+    with even=True only those with p*q even.
 
+    For v = p/q with q >= 1, take x0 = (a0, b0) with det(v, x0) = 1 and
+    1 <= b0 <= q.  The solutions of det(v, x) = 1 are x_t = x0 + t*v; a
+    common factor of x_t would divide det = 1, so each is primitive and
+    no gcd is taken.  The solutions of det = -1 are their antipodes, so
+    no two members of the family are one slope and no set is needed.
+    Canonical forms split the family into two runs, x_t for t >= 0 and
+    -x_t = k*v - x0 for t = -k <= -1; q = 0 occurs only as -x_{-1} = 1/0,
+    when v = n/1.  Both runs step by +v, and adding v keeps (q, p)
+    order, so the runs alternate from their heads on: 1 <= b0 <= q gives
+    x_0 < -x_{-1} < x_1 or -x_{-1} < x_0 < -x_{-2}.  The box is an
+    interval of t, so when both runs are nonempty it cuts only their far
+    ends, and interleaving them from the smaller head, then appending
+    the longer run's tail, is the sorted list without a keyed sort.
 
-def _neighbor_tuples(v: tuple[int, int], cap: int) -> list[tuple[int, int]]:
-    """Canonical slopes dual to v within the cap box, sorted by (q, p).
-
-    The solutions of |det(v, x)| = 1 form two antipodal arithmetic
-    families x0 + t*v, so one family enumerates everything once canonical
-    forms identify antipodes.
+    Consecutive members x_t, x_{t+1} = x_t + v form a Farey triangle with
+    v, which has exactly one odd vertex.  So for an even v the parity of
+    x_t alternates in t, an antipode keeps it, and the even members are
+    every second member of each run, still alternating; for an odd v all
+    members are even.
     """
     p, q = v
-    _, x, y = _xgcd(p, q)
-    a0, b0 = -y, x  # det((p, q), (a0, b0)) = 1
-    lo: int | None = None
-    hi: int | None = None
-    for base, step in ((a0, p), (b0, q)):
-        if step == 0:
-            continue
-        if step > 0:
-            lo_i = _ceil_div(-cap - base, step)
-            hi_i = (cap - base) // step
-        else:
-            lo_i = _ceil_div(cap - base, step)
-            hi_i = (-cap - base) // step
-        lo = lo_i if lo is None else max(lo, lo_i)
-        hi = hi_i if hi is None else min(hi, hi_i)
-    assert lo is not None and hi is not None
-    out = {_canon_pair(a0 + t * p, b0 + t * q) for t in range(lo, hi + 1)}
-    return sorted(out, key=lambda t: (t[1], t[0]))
+    if not q:  # v = 1/0: the family is (t, 1), a single run
+        return [(t, 1) for t in range(-cap + cap % 2 if even else -cap, cap + 1, 1 + even)]
+    step = 2 if even and not p * q % 2 else 1
+    b0 = pow(p, -1, q) or q
+    a0 = (p * b0 - 1) // q  # det(v, x0) = p*b0 - a0*q = 1
+    lo, hi = -((cap + b0) // q), (cap - b0) // q  # |b0 + t*q| <= cap
+    if p:  # |a0 + t*p| <= cap; c keeps the floors on the right side for p < 0
+        c = cap if p > 0 else -cap
+        lo, hi = max(lo, -((c + a0) // p)), min(hi, (c - a0) // p)
+    s, k = max(lo, 0), max(-hi, 1)  # first t of the x_t run, first k of the k*v - x0 run
+    if step == 2:
+        s += (a0 + s * p) * (b0 + s * q) % 2
+        k += (k * p - a0) * (k * q - b0) % 2
+    xs = [(a0 + t * p, b0 + t * q) for t in range(s, hi + 1, step)]
+    ys = [(t * p - a0, t * q - b0) for t in range(k, 1 - lo, step)]
+    if not (xs and ys):
+        return xs or ys
+    if (ys[0][1], ys[0][0]) < (xs[0][1], xs[0][0]):
+        xs, ys = ys, xs
+    n = min(len(xs), len(ys))
+    out = xs[:n] * 2
+    out[::2], out[1::2] = xs[:n], ys[:n]
+    return out + xs[n:] + ys[n:]
 
 
 def neighbors(s: Slope, cap: int) -> list[Slope]:
-    """All slopes dual to s with |p| <= cap and q <= cap, sorted by (q, p)."""
+    """All slopes dual to s with |p| <= cap and q <= cap, sorted by (q, p).
+
+    The duals are x0 + t*s up to sign: each is primitive because its
+    determinant with s is 1, so no gcd is taken, and their canonical
+    forms make two runs that alternate in (q, p) order, so they are
+    interleaved rather than sorted.  Every Farey triangle has one odd
+    vertex, so along a run the neighbours of an even s alternate in
+    parity and the even search keeps every second member.  The full
+    argument is at `_neighbor_tuples`.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     return [Slope(p, q) for p, q in _neighbor_tuples((s.p, s.q), cap)]
@@ -293,6 +316,17 @@ def _fallback_walk(
     return SlopePath(tuple(_splice(walk)), kind)
 
 
+def _branch(
+    prev: dict[tuple[int, int], tuple[int, int] | None], v: tuple[int, int] | None
+) -> list[tuple[int, int]]:
+    """v and its ancestors in a BFS tree of parent links, the root last."""
+    out = []
+    while v is not None:
+        out.append(v)
+        v = prev[v]
+    return out
+
+
 def _graph_distance(
     a: Slope,
     b: Slope,
@@ -336,8 +370,6 @@ def _graph_distance(
 
     upper_edges = upper.edges if upper is not None else None
     src, dst = (a.p, a.q), (b.p, b.q)
-    dist_f: dict[tuple[int, int], int] = {src: 0}
-    dist_b: dict[tuple[int, int], int] = {dst: 0}
     prev_f: dict[tuple[int, int], tuple[int, int] | None] = {src: None}
     prev_b: dict[tuple[int, int], tuple[int, int] | None] = {dst: None}
     frontier_f, frontier_b = [src], [dst]
@@ -350,43 +382,27 @@ def _graph_distance(
             return upper_edges, upper
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
-        dist_here, prev_here = (dist_f, prev_f) if forward else (dist_b, prev_b)
-        dist_there = dist_b if forward else dist_f
-        radius = (radius_f if forward else radius_b) + 1
+        prev_here, prev_there = (prev_f, prev_b) if forward else (prev_b, prev_f)
         next_frontier: list[tuple[int, int]] = []
-        meets: list[tuple[int, int]] = []
         for v in sorted(frontier, key=lambda t: (t[1], t[0])):
             expanded += 1
             if expanded > max_nodes:
                 give_up()
-            for w in _neighbor_tuples(v, cap):
-                if even and (w[0] * w[1]) % 2:
-                    continue
-                if w in dist_here:
-                    continue
-                dist_here[w] = radius
-                prev_here[w] = v
-                next_frontier.append(w)
-                if w in dist_there:
-                    meets.append(w)
+            for w in _neighbor_tuples(v, cap, even):
+                if w not in prev_here:
+                    prev_here[w] = v
+                    next_frontier.append(w)
         if forward:
-            frontier_f, radius_f = next_frontier, radius
+            frontier_f, radius_f = next_frontier, radius_f + 1
         else:
-            frontier_b, radius_b = next_frontier, radius
+            frontier_b, radius_b = next_frontier, radius_b + 1
+        meets = [w for w in next_frontier if w in prev_there]
         if meets:
-            meet = min(meets, key=lambda t: (dist_f[t] + dist_b[t], t[1], t[0]))
-            chain: list[tuple[int, int]] = []
-            v: tuple[int, int] | None = meet
-            while v is not None:
-                chain.append(v)
-                v = prev_f[v]
-            chain.reverse()
-            v = prev_b[meet]
-            while v is not None:
-                chain.append(v)
-                v = prev_b[v]
-            path = SlopePath(tuple(Slope(p, q) for p, q in chain), kind)
-            assert path.edges == dist_f[meet] + dist_b[meet]
+            # Each meet joins its branches of the two BFS trees into a
+            # walk; the shortest wins, ties going to the smaller (q, p).
+            walks = {w: _branch(prev_f, w)[::-1] + _branch(prev_b, w)[1:] for w in meets}
+            meet = min(meets, key=lambda t: (len(walks[t]), t[1], t[0]))
+            path = SlopePath(tuple(Slope(p, q) for p, q in walks[meet]), kind)
             return path.edges, path
     give_up()
     raise AssertionError("unreachable")

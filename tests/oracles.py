@@ -328,3 +328,29 @@ def wrap_segments_fraction(p, q, x_phase, y_phase):
         y1 = ym + q * (t1 - tm)
         segments.append((x0, y0, x1, y1))
     return segments
+
+
+def wrap_segments_lattice(p, q):
+    """Integer reference for the SVG wrap segments of the blue (p, q) line.
+
+    The blue curve is t -> (p*t, q*t + 1/2) mod 1 for t in [0, 1], with
+    p != 0 < q.  Over the denominator D = 2*|p|*q, x crosses an integer
+    at the multiples of 2q and y at the odd multiples of |p|.  Between
+    two cuts n0 < n1 neither coordinate crosses an integer, so taking
+    off the floor of its value at the midpoint (n0 + n1) / (2D) moves
+    both ends into [0, 1].  Every end is an exact quotient of two
+    integers, and Python's int / int rounds it correctly to a float.
+    """
+    d = 2 * abs(p) * q
+    cuts = sorted({0, d, *range(2 * q, d, 2 * q), *range(abs(p), d, 2 * abs(p))})
+    segments = []
+    for n0, n1 in zip(cuts, cuts[1:]):
+        fx = p * (n0 + n1) // (2 * d)
+        fy = (q * (n0 + n1) + d) // (2 * d)
+        segments.append((
+            (p * n0 - fx * d) / d,
+            (2 * q * n0 + d - 2 * fy * d) / (2 * d),
+            (p * n1 - fx * d) / d,
+            (2 * q * n1 + d - 2 * fy * d) / (2 * d),
+        ))
+    return segments

@@ -72,6 +72,16 @@ class TestLensBounds:
         code, _, err = run(capsys, "lens-bounds", "4", "2")
         assert code == 1 and "error" in err
 
+    def test_pinned_bytes(self, capsys):
+        code, out, _ = run(capsys, "lens-bounds", "1009", "920")
+        assert code == 0
+        # Digest recorded with the earlier neighbour enumeration (gcd per
+        # candidate, a set and a keyed sort); the closed-form runs must
+        # reproduce every search byte for byte.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "12002837166dac00183b1b4245f51dad0c18437db610f50573908a5ef374880f"
+        )
+
     def test_cap_below_endpoint(self, capsys):
         code, out, err = run(capsys, "lens-bounds", "7", "2", "--cap", "3")
         assert code == 1 and out == ""
@@ -171,6 +181,15 @@ class TestTable:
         run(capsys, "table", "--pmax", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pinned_bytes(self, capsys, tmp_path):
+        csv = tmp_path / "t.csv"
+        assert run(capsys, "table", "--pmax", "30", "--out", str(csv))[0] == 0
+        # Digest recorded with the earlier neighbour enumeration (gcd per
+        # candidate, a set and a keyed sort).
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "9aabeff7262fef10b4bccbdfdeaedbd49bd6ba7b02b8504e3f44f344538d0edf"
+        )
+
     def test_cap_below_endpoint(self, capsys):
         code, out, err = run(capsys, "table", "--pmax", "5", "--cap", "1")
         assert code == 1 and out == ""
@@ -251,21 +270,29 @@ class TestRenderAndVerify:
         )
 
     def test_wrap_segments_match_rational_reference(self):
-        """Every blue curve's lines are the rational reference's segments,
+        """Every blue curve's lines are the exact reference's segments,
         formatted with the float expressions of the segment-per-line renderer."""
         tail = '" stroke="#0000CC" stroke-width="2.000" stroke-linecap="round"/>'
         for p, q in BLUE_SLOPES:
             ox = 10.0 + (p % 7) * 120.0
             want = [
-                f'<line x1="{ox + float(x0) * 100.0:.3f}" '
-                f'y1="{10.0 + (1.0 - float(y0)) * 100.0:.3f}" '
-                f'x2="{ox + float(x1) * 100.0:.3f}" '
-                f'y2="{10.0 + (1.0 - float(y1)) * 100.0:.3f}{tail}'
-                for x0, y0, x1, y1 in oracles.wrap_segments_fraction(
-                    p, q, Fraction(0), Fraction(1, 2)
-                )
+                f'<line x1="{ox + x0 * 100.0:.3f}" '
+                f'y1="{10.0 + (1.0 - y0) * 100.0:.3f}" '
+                f'x2="{ox + x1 * 100.0:.3f}" '
+                f'y2="{10.0 + (1.0 - y1) * 100.0:.3f}{tail}'
+                for x0, y0, x1, y1 in oracles.wrap_segments_lattice(p, q)
             ]
             assert _blue_line_elements(ox, p, q) == want, (p, q)
+
+    def test_lattice_reference_matches_fraction_reference(self):
+        """The integer reference above rounds the segments of the scanning
+        Fraction reference, float for float."""
+        for p, q in BLUE_SLOPES:
+            if abs(p) <= 20 and q <= 20:
+                want = oracles.wrap_segments_fraction(p, q, Fraction(0), Fraction(1, 2))
+                assert oracles.wrap_segments_lattice(p, q) == [
+                    tuple(map(float, segment)) for segment in want
+                ], (p, q)
 
     def test_blue_line_count_matches_segments(self):
         for p, q in BLUE_SLOPES:
@@ -339,6 +366,34 @@ class TestRenderAndVerify:
         diagram_file.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(diagram_file))
         assert (code, out) == (2, 'FAIL unknown top-level key "unexpected"\n')
+
+    @pytest.mark.parametrize(
+        "key, field, value, message",
+        [
+            (
+                "classification",
+                "normal_form",
+                "#2 S2xS2",
+                'classification "normal_form": file says "#2 S2xS2", recomputed "#2 S2x~S2"',
+            ),
+            ("stats", "total_genus", 5, 'stats "total_genus": file says 5, recomputed 4'),
+        ],
+        ids=["classification", "stats"],
+    )
+    def test_verify_names_the_differing_key(self, capsys, diagram_file, key, field, value, message):
+        doc = json.loads(diagram_file.read_text())
+        doc[key][field] = value
+        diagram_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(diagram_file))
+        assert (code, out) == (2, f"FAIL {message}\n")
+
+    @pytest.mark.parametrize("color", ["blue", "red", "green"])
+    def test_verify_says_a_curve_list_is_missing(self, capsys, diagram_file, color):
+        doc = json.loads(diagram_file.read_text())
+        del doc[color]
+        diagram_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(diagram_file))
+        assert (code, out) == (2, f"FAIL {color} curves: missing, recomputed a list of 4\n")
 
     def test_verify_catches_tampered_framing(self, capsys, diagram_file):
         doc = json.loads(diagram_file.read_text())

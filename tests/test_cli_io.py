@@ -187,7 +187,7 @@ def test_verify_prints_json_values(capsys, diagram):
     lines = _verify_edited(capsys, diagram, edit)
     assert lines[:2] == [
         "FAIL genus_per_copy: file says true, recomputed 1",
-        f"FAIL num_copies: file says missing, recomputed {copies}",
+        f"FAIL num_copies: missing, recomputed {copies}",
     ]
     assert lines[2] == (
         f"FAIL kirby curve at layer {want['layer']} coordinate {want['coordinate']}: "

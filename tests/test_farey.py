@@ -21,6 +21,7 @@ from spinebound import (
     is_even_vertex,
     neighbors,
 )
+from spinebound.farey import _neighbor_tuples
 
 
 def S(text):
@@ -147,6 +148,19 @@ class TestNeighbors:
             cap = rng.randint(max(abs(s.p), s.q, 1), 12)
             got = [(t.p, t.q) for t in neighbors(s, cap)]
             assert got == oracles.naive_neighbors((s.p, s.q), cap)
+
+    def test_every_small_slope_and_cap_against_brute_force(self):
+        """The closed-form runs match the scan for every slope with
+        |p|, q <= 12 at every cap from its complexity to 14; the even list
+        is the scanned list filtered to p*q even."""
+        for p, q in oracles.all_slopes(12):
+            s = Slope(p, q)
+            for cap in range(max(abs(p), q), 15):
+                want = oracles.naive_neighbors((p, q), cap)
+                assert [(t.p, t.q) for t in neighbors(s, cap)] == want, (s, cap)
+                assert _neighbor_tuples((p, q), cap, even=True) == [
+                    t for t in want if t[0] * t[1] % 2 == 0
+                ], (s, cap)
 
     def test_monotone_in_cap_and_all_dual(self):
         for s in (S("0/1"), S("1/0"), S("7/2"), S("-5/3")):
