@@ -9,7 +9,6 @@ invariants of the linking form.
 """
 
 from .farey import (
-    DEFAULT_MAX_NODES,
     DomainError,
     InvalidSlopeError,
     LONGITUDE,

@@ -14,7 +14,6 @@ walks between two fixed slopes share one length parity.
 from __future__ import annotations
 
 from .farey import (
-    DEFAULT_MAX_NODES,
     DomainError,
     LONGITUDE,
     MERIDIAN,
@@ -68,7 +67,6 @@ def even_distance(
     b: Slope,
     cap: int,
     *,
-    max_nodes: int = DEFAULT_MAX_NODES,
     upper: SlopePath | None = None,
 ) -> tuple[int, SlopePath]:
     """Distance between two even slopes inside the even Farey graph.
@@ -77,9 +75,7 @@ def even_distance(
     with the search restricted to even vertices; the result is never below
     the full-graph distance.
     """
-    return _graph_distance(
-        a, b, cap, even=True, max_nodes=max_nodes, upper=upper, parent=even_parent
-    )
+    return _graph_distance(a, b, cap, even=True, upper=upper, parent=even_parent)
 
 
 def iteration_index(s: Slope) -> int:

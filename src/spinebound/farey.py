@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-#: Default limit on the number of vertices a single search may expand
-#: before giving up and falling back to a parent-trace witness.
-DEFAULT_MAX_NODES = 10_000
+# How many vertices a single search may expand before giving up and
+# falling back to a parent-trace witness.
+_MAX_NODES = 10_000
 
 
 class InvalidSlopeError(ValueError):
@@ -333,7 +333,6 @@ def _graph_distance(
     cap: int,
     *,
     even: bool,
-    max_nodes: int,
     upper: SlopePath | None,
     parent: Callable[[Slope], Slope],
 ) -> tuple[int, SlopePath]:
@@ -344,9 +343,10 @@ def _graph_distance(
     expanding the smaller frontier one full layer at a time; the first
     layer after which the two visited sets intersect yields the exact
     capped distance.  When `upper` is given and no shorter path can exist
-    the witness is returned as the exact capped answer.  Exceeding
-    `max_nodes` raises :class:`NoPathWithinCap` carrying `upper`, or else
-    the walk through 0/1 that `parent` traces from both endpoints.
+    the witness is returned as the exact capped answer.  Expanding more
+    than `_MAX_NODES` vertices raises :class:`NoPathWithinCap` carrying
+    `upper`, or else the walk through 0/1 that `parent` traces from both
+    endpoints.
     """
     kind = PathKind.EVEN_FAREY if even else PathKind.FAREY
     if even and not (is_even_vertex(a) and is_even_vertex(b)):
@@ -386,7 +386,7 @@ def _graph_distance(
         next_frontier: list[tuple[int, int]] = []
         for v in sorted(frontier, key=lambda t: (t[1], t[0])):
             expanded += 1
-            if expanded > max_nodes:
+            if expanded > _MAX_NODES:
                 give_up()
             for w in _neighbor_tuples(v, cap, even):
                 if w not in prev_here:
@@ -413,7 +413,6 @@ def farey_distance(
     b: Slope,
     cap: int,
     *,
-    max_nodes: int = DEFAULT_MAX_NODES,
     upper: SlopePath | None = None,
 ) -> tuple[int, SlopePath]:
     """Distance and witness path between two slopes.
@@ -421,8 +420,6 @@ def farey_distance(
     Exact for distances <= 2; otherwise exact for the cap-restricted
     graph (an upper bound for the full graph) and monotone nonincreasing
     in cap.  Raises :class:`NoPathWithinCap` with a parent-trace witness
-    when the search exceeds `max_nodes`.
+    when the search expands more than `_MAX_NODES` vertices.
     """
-    return _graph_distance(
-        a, b, cap, even=False, max_nodes=max_nodes, upper=upper, parent=mediant_parent
-    )
+    return _graph_distance(a, b, cap, even=False, upper=upper, parent=mediant_parent)

@@ -146,6 +146,20 @@ class TestBuild:
         assert code == 1
         assert "not dual" in err
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["7", "2"], "p q"), (["--mode", "any"], "--mode"), (["--cap", "3"], "--cap")],
+        ids=["p-q", "mode", "cap"],
+    )
+    def test_path_file_refuses_lens_arguments(self, capsys, tmp_path, extra, named):
+        walk = {"mode": "dual", "systems": [[{"p": 0, "q": 1}], [{"p": 1, "q": 0}]]}
+        path_file, out_file = tmp_path / "walk.json", tmp_path / "d.json"
+        path_file.write_text(json.dumps(walk))
+        argv = ["build", *extra, "--path-file", str(path_file), "--out", str(out_file)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err == f"error: --path-file takes no {named}\n"
+
     def test_invalid_lens(self, capsys):
         code, _, err = run(capsys, "build", "4", "2")
         assert code == 1
@@ -320,19 +334,16 @@ class TestRenderAndVerify:
         diagram_file.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(diagram_file))
         assert code == 2 and out.startswith("FAIL ")
-        assert "FAIL linking matrix entry (0, 1): file says 2, recomputed 1\n" in out
+        assert "FAIL kirby.linking_matrix[0][1]: file says 2, recomputed 1\n" in out
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m.pop(), "linking matrix: file has 3 rows, recomputed 4"),
-            (
-                lambda m: m[2].pop(),
-                "linking matrix row 2: file says [2, 6, 14], recomputed 4 entries",
-            ),
+            (lambda m: m.pop(), "kirby.linking_matrix: file has 3, recomputed 4"),
+            (lambda m: m[2].pop(), "kirby.linking_matrix[2]: file has 3, recomputed 4"),
             (
                 lambda m: m[3].__setitem__(0, True),
-                "linking matrix entry (3, 0): file says true, recomputed 1",
+                "kirby.linking_matrix[3][0]: file says true, recomputed 1",
             ),
         ],
         ids=["row-count", "row-length", "entry-type"],
@@ -365,7 +376,7 @@ class TestRenderAndVerify:
         doc["unexpected"] = [1, 2]
         diagram_file.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(diagram_file))
-        assert (code, out) == (2, 'FAIL unknown top-level key "unexpected"\n')
+        assert (code, out) == (2, 'FAIL unknown key "unexpected"\n')
 
     @pytest.mark.parametrize(
         "key, field, value, message",
@@ -374,9 +385,9 @@ class TestRenderAndVerify:
                 "classification",
                 "normal_form",
                 "#2 S2xS2",
-                'classification "normal_form": file says "#2 S2xS2", recomputed "#2 S2x~S2"',
+                'classification.normal_form: file says "#2 S2xS2", recomputed "#2 S2x~S2"',
             ),
-            ("stats", "total_genus", 5, 'stats "total_genus": file says 5, recomputed 4'),
+            ("stats", "total_genus", 5, "stats.total_genus: file says 5, recomputed 4"),
         ],
         ids=["classification", "stats"],
     )
@@ -393,15 +404,14 @@ class TestRenderAndVerify:
         del doc[color]
         diagram_file.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(diagram_file))
-        assert (code, out) == (2, f"FAIL {color} curves: missing, recomputed a list of 4\n")
+        assert (code, out) == (2, f"FAIL {color}: missing, recomputed a list of 4\n")
 
     def test_verify_catches_tampered_framing(self, capsys, diagram_file):
         doc = json.loads(diagram_file.read_text())
         doc["kirby"]["curves"][2]["framing"] = 13
         diagram_file.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(diagram_file))
-        assert code == 2
-        assert any("layer 2" in line for line in out.splitlines())
+        assert (code, out) == (2, "FAIL kirby.curves[2].framing: file says 13, recomputed 14\n")
 
     def test_verify_catches_non_dual_layers(self, capsys, tmp_path):
         walk = {
@@ -508,17 +518,26 @@ class TestMalformedNestedFields:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+        return err
 
     def test_verify_path_not_an_object(self, capsys, tmp_path):
-        self.assert_input_error(capsys, "verify", self.write(tmp_path, {"path": 1}))
+        f = self.write(tmp_path, {"version": 1, "path": 1})
+        err = self.assert_input_error(capsys, "verify", f)
+        assert "expected the walk to be an object, got int" in err
 
     def test_verify_kirby_not_an_object(self, capsys, tmp_path):
-        f = self.write(tmp_path, {"path": self.WALK, "kirby": 3})
-        self.assert_input_error(capsys, "verify", f)
+        """A readable walk is recomputed, so a wrong `kirby` is a failed check."""
+        f = self.write(tmp_path, {"version": 1, "path": self.WALK, "kirby": 3})
+        code, out, _ = run(capsys, "verify", f)
+        assert code == 2
+        assert "FAIL kirby: file says 3, recomputed an object\n" in out
 
     def test_render_scaffold_not_a_list(self, capsys, tmp_path):
-        f = self.write(tmp_path, {"genus_per_copy": 1, "num_copies": 1, "red": 5})
-        self.assert_input_error(capsys, "render", f, str(tmp_path / "x.svg"))
+        blue = {"copy": 0, "coordinate": 0, "slope": {"p": 0, "q": 1}, "reflected": False}
+        doc = {"version": 1, "genus_per_copy": 1, "num_copies": 1, "blue": [blue], "red": 5}
+        f = self.write(tmp_path, doc)
+        err = self.assert_input_error(capsys, "render", f, str(tmp_path / "x.svg"))
+        assert 'expected "red" to be a list, got int' in err
 
     @pytest.mark.parametrize("copy", [0.5, -3, 8, "x"])
     def test_render_blue_copy_invalid(self, capsys, tmp_path, copy):

@@ -1,6 +1,7 @@
 """The CLI's file layer: the JSON writer's bytes, pinned diagram digests,
 unwritable output paths and the messages of a failing `verify`."""
 
+import copy
 import hashlib
 import json
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinebound.cli import _dump_json, main
+from spinebound.cli import _difference, _dump_json, _same, main
+from test_cli_total import DIAGRAM, field_paths, replaced
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
@@ -155,15 +157,40 @@ def test_verify_names_the_tampered_blue_field(capsys, diagram):
         capsys, diagram, lambda doc: load_inputs().tamper(doc, "blue.reflected")
     )
     assert lines == [
-        f'FAIL blue curve 0 "reflected": file says {json.dumps(not reflected)}, '
+        f"FAIL blue[0].reflected: file says {json.dumps(not reflected)}, "
         f"recomputed {json.dumps(reflected)}"
     ]
+
+
+def test_verify_names_the_tampered_kirby_field(capsys, diagram):
+    """The benchmark's `kirby.curves.framing` tamper is named down to the field."""
+    curves = diagram[1]["kirby"]["curves"]
+    framing = curves[-1]["framing"]
+    lines = _verify_edited(
+        capsys, diagram, lambda doc: load_inputs().tamper(doc, "kirby.curves.framing")
+    )
+    assert lines == [
+        f"FAIL kirby.curves[{len(curves) - 1}].framing: file says {framing + 1}, "
+        f"recomputed {framing}"
+    ]
+
+
+def test_verify_compares_the_path_too(capsys, diagram):
+    """A slope written as a string reads as the same walk, but the file is
+    not the recomputed document."""
+
+    def edit(doc):
+        doc["path"]["systems"][2][0]["p"] = str(doc["path"]["systems"][2][0]["p"])
+
+    p = diagram[1]["path"]["systems"][2][0]["p"]
+    lines = _verify_edited(capsys, diagram, edit)
+    assert lines == [f'FAIL path.systems[2][0].p: file says "{p}", recomputed {p}']
 
 
 def test_verify_names_curve_counts(capsys, diagram):
     count = len(diagram[1]["red"])
     lines = _verify_edited(capsys, diagram, lambda doc: doc["red"].pop())
-    assert lines == [f"FAIL red curves: file has {count - 1}, recomputed {count}"]
+    assert lines == [f"FAIL red: file has {count - 1}, recomputed {count}"]
 
 
 def test_verify_names_missing_and_unknown_fields(capsys, diagram):
@@ -172,8 +199,8 @@ def test_verify_names_missing_and_unknown_fields(capsys, diagram):
         doc["blue"][2]["extra"] = 1
 
     lines = _verify_edited(capsys, diagram, edit)
-    assert lines[0] == 'FAIL blue curve 2: unknown key "extra"'
-    assert lines[1].startswith('FAIL green curve 1 "kind": missing, recomputed "')
+    assert lines[0] == 'FAIL blue[2]: unknown key "extra"'
+    assert lines[1].startswith('FAIL green[1].kind: missing, recomputed "')
 
 
 def test_verify_prints_json_values(capsys, diagram):
@@ -182,14 +209,39 @@ def test_verify_prints_json_values(capsys, diagram):
         del doc["num_copies"]
         doc["kirby"]["curves"][0]["framing"] = None
 
-    want = dict(diagram[1]["kirby"]["curves"][0])
+    framing = diagram[1]["kirby"]["curves"][0]["framing"]
     copies = diagram[1]["num_copies"]
     lines = _verify_edited(capsys, diagram, edit)
     assert lines[:2] == [
         "FAIL genus_per_copy: file says true, recomputed 1",
         f"FAIL num_copies: missing, recomputed {copies}",
     ]
-    assert lines[2] == (
-        f"FAIL kirby curve at layer {want['layer']} coordinate {want['coordinate']}: "
-        f"file says {json.dumps({**want, 'framing': None})}, recomputed {json.dumps(want)}"
-    )
+    assert lines[2] == f"FAIL kirby.curves[0].framing: file says null, recomputed {json.dumps(framing)}"
+
+
+def _path_text(keys) -> str:
+    """`kirby.curves[2].framing` for the keys ("kirby", "curves", 2, "framing")."""
+    return keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(JSON_VALUES, JSON_VALUES)
+def test_difference_is_none_exactly_when_same(a, b):
+    for got, want in ((a, b), (copy.deepcopy(a), a)):
+        found = _difference("x", got, want)
+        assert (found is None) == _same(got, want)
+        assert found is None or found.startswith("x")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.sampled_from(list(field_paths(DIAGRAM))), JSON_VALUES)
+def test_difference_names_the_edited_field(keys, value):
+    """Replacing one field of a built diagram is reported at that field or
+    below it, and only when the JSON differs."""
+    doc = replaced(DIAGRAM, keys, value)
+    top = keys[0]
+    found = _difference(top, doc[top], DIAGRAM[top])
+    assert (found is None) == _same(doc, DIAGRAM)
+    if found is not None:
+        text = _path_text(keys)
+        assert found.startswith(text) and found[len(text)] in ":.["

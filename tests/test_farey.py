@@ -21,6 +21,7 @@ from spinebound import (
     is_even_vertex,
     neighbors,
 )
+from spinebound import farey
 from spinebound.farey import _neighbor_tuples
 
 
@@ -252,9 +253,10 @@ class TestDistance:
             dac, _ = farey_distance(a, c, cap)
             assert dac <= dab + dbc
 
-    def test_budget_exhaustion_carries_witness(self):
+    def test_budget_exhaustion_carries_witness(self, monkeypatch):
+        monkeypatch.setattr(farey, "_MAX_NODES", 1)
         with pytest.raises(NoPathWithinCap) as info:
-            farey_distance(S("0/1"), S("89/55"), 712, max_nodes=1)
+            farey_distance(S("0/1"), S("89/55"), 712)
         exc = info.value
         assert exc.path.vertices[0] == S("0/1")
         assert exc.path.vertices[-1] == S("89/55")
