@@ -8,8 +8,10 @@ Commands
     render       schematic SVG of a genus-1 diagram JSON
     verify       recompute and cross-check a diagram JSON
 
-Exit codes: 0 success, 1 input error, 2 verification failure, 3 search
-gave up (cap/budget exhausted; the best known upper bound is printed).
+Exit codes: 0 success, 1 input error, 2 verification failure, 3 the
+full-graph search gave up (cap/budget exhausted; the best known upper
+bound is printed).  `--cap` bounds that search only: even-graph
+distances and untwisted bounds are exact with no search.
 All output is deterministic: identical inputs give byte-identical files.
 
 A failing `verify` prints one `FAIL` line for each top-level key of the
@@ -302,6 +304,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+_CAP_HELP = "coordinate cap for the twisted (full-graph) search"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinebound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,13 +315,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("a", help="slope, e.g. 0/1")
     p_dist.add_argument("b", help="slope, e.g. 7/2")
     p_dist.add_argument("--even", action="store_true", help="restrict to the even graph")
-    p_dist.add_argument("--cap", type=int, default=None, help="coordinate cap for the search")
+    p_dist.add_argument(
+        "--cap", type=int, default=None, help="coordinate cap for the full-graph search"
+    )
     p_dist.set_defaults(func=cmd_dist)
 
     p_lb = sub.add_parser("lens-bounds", help="summand bounds for L(p, q)")
     p_lb.add_argument("p", type=int)
     p_lb.add_argument("q", type=int)
-    p_lb.add_argument("--cap", type=int, default=None)
+    p_lb.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_lb.set_defaults(func=cmd_lens_bounds)
 
     p_build = sub.add_parser("build", help="build a diagram JSON file")
@@ -324,13 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("q", type=int, nargs="?")
     p_build.add_argument("--path-file", default=None, help="JSON walk instead of a lens space")
     p_build.add_argument("--mode", choices=("any", "even"), default=None)
-    p_build.add_argument("--cap", type=int, default=None)
+    p_build.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_build.add_argument("--out", default="diagram.json")
     p_build.set_defaults(func=cmd_build)
 
     p_table = sub.add_parser("table", help="CSV of bounds for all p <= pmax")
     p_table.add_argument("--pmax", type=int, required=True)
-    p_table.add_argument("--cap", type=int, default=None)
+    p_table.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_table.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_table.set_defaults(func=cmd_table)
 
@@ -352,10 +359,15 @@ def cmd_dist(args) -> int:
     except InvalidSlopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    cap = args.cap if args.cap is not None else default_cap(a, b)
-    search = even_distance if args.even else farey_distance
+    if args.even and args.cap is not None:
+        print("error: --even takes no --cap", file=sys.stderr)
+        return _EXIT_INPUT
     try:
-        d, path = search(a, b, cap)
+        if args.even:
+            d, path = even_distance(a, b)
+        else:
+            cap = args.cap if args.cap is not None else default_cap(a, b)
+            d, path = farey_distance(a, b, cap)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
@@ -366,7 +378,7 @@ def cmd_dist(args) -> int:
         print("0")
     else:
         print(f"{d} : {path}")
-    print(f"exactness: {'exact' if d <= 2 else 'exact-within-cap'}")
+    print(f"exactness: {'exact' if args.even or d <= 2 else 'exact-within-cap'}")
     return _EXIT_OK
 
 
@@ -379,7 +391,7 @@ def cmd_lens_bounds(args) -> int:
             "q": lens.q,
             "reps": [{"p": r.p, "q": r.q} for r in reps],
             "twisted": _bound_doc(lens_mod.twisted_bound(lens, args.cap)),
-            "untwisted": _bound_doc(lens_mod.untwisted_bound(lens, args.cap)),
+            "untwisted": _bound_doc(lens_mod.untwisted_bound(lens)),
         }
     except ValueError as exc:  # invalid lens space, or a cap below its complexity
         print(f"error: {exc}", file=sys.stderr)
@@ -395,7 +407,12 @@ def _cannot_write(file: str, exc: OSError) -> int:
 
 
 def _load_path_file(path_file: str) -> construct.DualPath:
-    doc = json.loads(Path(path_file).read_text())
+    """The walk in `path_file`.  JSON nested too deeply for the decoder
+    raises RecursionError, which is read as a ValueError."""
+    try:
+        doc = json.loads(Path(path_file).read_text())
+    except RecursionError as exc:
+        raise ValueError(exc) from None
     return _path_from_doc(doc)
 
 
@@ -422,6 +439,9 @@ def cmd_build(args) -> int:
     else:
         if args.p is None or args.q is None:
             print("error: give p q or --path-file", file=sys.stderr)
+            return _EXIT_INPUT
+        if args.mode == "even" and args.cap is not None:
+            print("error: --mode even takes no --cap", file=sys.stderr)
             return _EXIT_INPUT
         try:
             lens = lens_mod.normalize(args.p, args.q)
@@ -651,7 +671,7 @@ def _load_diagram(file: str) -> dict | None:
     """The diagram document in `file`, or None after an error on stderr."""
     try:
         doc = json.loads(Path(file).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
         return None
     if not isinstance(doc, dict):

@@ -158,11 +158,12 @@ def path_from_lens(lens: LensSpace, mode: str = "any", cap: int | None = None) -
 
     mode "any" walks the full Farey graph (twisted summands allowed),
     mode "even" stays on even slopes so all summands come out untwisted.
+    `cap` bounds the full-graph search only.
     """
     if mode == "any":
         bound = twisted_bound(lens, cap)
     elif mode == "even":
-        bound = untwisted_bound(lens, cap)
+        bound = untwisted_bound(lens)
     else:
         raise ValueError(f"mode must be 'any' or 'even', got {mode!r}")
     return DualPath(tuple((v,) for v in bound.path.vertices), PathMode.DUAL)

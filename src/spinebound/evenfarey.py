@@ -4,11 +4,38 @@ The torus embedding frames a (p, q) curve with framing p*q, so walks that
 should only split off untwisted sphere bundles must stay on slopes with
 p*q even.  Every triangle of the Farey tessellation has exactly one odd
 vertex (reduce p_i*q_j - p_j*q_i = +-1 mod 2), which gives every even
-non-root slope a unique even mediant parent; tracing those parents is an
-explicit connectivity witness for the even subgraph.
+non-root slope a unique even mediant parent.  The subgraph is bipartite
+(classes p even / p odd), so all even walks between two fixed slopes
+share one length parity.
 
-Note the subgraph is bipartite (classes p even / p odd), so all even
-walks between two fixed slopes share one length parity.
+Distances from 1/0.  Let x = p/q be an even slope other than the roots,
+with p >= 0, and let L, R be its mediant parents (`farey_parents`).  The
+Farey edge L--R separates x from 1/0: the edges of the tessellation are
+disjoint hyperbolic geodesics, so no edge crosses L--R, and every walk
+from 1/0 to x passes through L or R.  One of L, R is odd (they span a
+Farey triangle with x), so every even walk from 1/0 to x passes through
+the even parent e(x), and
+
+    d(1/0, x) = d(1/0, e(x)) + 1.
+
+Unwinding gives d(1/0, x) = the number of even parents taken until the
+trace reaches a root, plus one if that root is 0/1, since d(1/0, 0/1) =
+1.  So the even trace of x, cut at 1/0 or started 1/0, 0/1, ..., is a
+shortest even walk.  A negative x follows by the reflection p -> -p,
+which fixes both roots.  No search is made and no cap bounds the answer.
+
+Arbitrary pairs.  For an even a = p/q take integers x, y with
+x*p + y*q = 1 and
+
+    g = [[x - k*q, y + k*p], [-q, p]],   k = y (p odd) or k = x (p even).
+
+Then det g = 1 and g(a) = 1/0.  Mod 2, p - q is odd and the first row
+sums to x + y + k, which the choice of k makes odd, so g fixes the odd
+class (1, 1) mod 2: g lies in the theta group, and it maps even slopes
+to even slopes and the even graph onto itself.  Hence d(a, b) =
+d(1/0, g(b)), and g^-1 carries a shortest walk from 1/0 to g(b) onto
+one from a to b.  See Short & Walker, *Even-integer continued fractions
+and the Farey tree* (2016).
 """
 
 from __future__ import annotations
@@ -20,7 +47,7 @@ from .farey import (
     PathKind,
     Slope,
     SlopePath,
-    _graph_distance,
+    canonical,
     farey_parents,
     is_even_vertex,
     parent_trace,
@@ -62,20 +89,39 @@ def even_trace(s: Slope) -> SlopePath:
     return SlopePath(tuple(parent_trace(s, even_parent)), PathKind.EVEN_FAREY)
 
 
-def even_distance(
-    a: Slope,
-    b: Slope,
-    cap: int,
-    *,
-    upper: SlopePath | None = None,
-) -> tuple[int, SlopePath]:
-    """Distance between two even slopes inside the even Farey graph.
+def _walk_from_longitude(s: Slope) -> list[Slope]:
+    """A shortest even walk from 1/0 to the even slope s != 1/0.
 
-    Same exactness contract as :func:`spinebound.farey.farey_distance`,
-    with the search restricted to even vertices; the result is never below
+    The reversed even trace of s, cut at 1/0 when it passes there and
+    else started 1/0, 0/1, ...; the module docstring proves it shortest.
+    """
+    walk = parent_trace(s, even_parent)[::-1]  # from 0/1
+    return walk[1:] if walk[1:2] == [LONGITUDE] else [LONGITUDE] + walk
+
+
+def even_distance(a: Slope, b: Slope) -> tuple[int, SlopePath]:
+    """Distance and a shortest walk between two slopes in the even Farey graph.
+
+    Exact for the whole even graph, by the theta-group construction of
+    the module docstring: g sends a to 1/0, and g^-1 carries the even
+    walk from 1/0 to g(b) back.  For a = 1/0, g is the identity and the
+    walk is the even trace of b, cut at 1/0.  The result is never below
     the full-graph distance.
     """
-    return _graph_distance(a, b, cap, even=True, upper=upper, parent=even_parent)
+    if not (is_even_vertex(a) and is_even_vertex(b)):
+        raise DomainError("both endpoints of an even-graph walk must be even")
+    if a == b:
+        return 0, SlopePath((a,), PathKind.EVEN_FAREY)
+    p, q = a.p, a.q
+    x = pow(p, -1, q) if q else 1  # x*p + y*q = 1; a = 1/0 gives g = I
+    y = (1 - x * p) // q if q else 0
+    k = (y if p % 2 else x) % 2
+    gp, gq = x - k * q, y + k * p  # first row of g; its second row is (-q, p)
+    walk = _walk_from_longitude(canonical(gp * b.p + gq * b.q, p * b.q - q * b.p))
+    # g^-1 = [[p, -gq], [q, gp]] carries the walk from 1/0 to one from a
+    vertices = tuple(canonical(p * s.p - gq * s.q, q * s.p + gp * s.q) for s in walk)
+    path = SlopePath(vertices, PathKind.EVEN_FAREY)
+    return path.edges, path
 
 
 def iteration_index(s: Slope) -> int:

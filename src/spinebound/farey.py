@@ -7,20 +7,19 @@ happens exactly when p1*q2 - p2*q1 = +-1.  The Farey graph has slopes as
 vertices and dual pairs as edges.
 
 Distances 0, 1 and 2 are decided by closed forms and are exact for the
-full graph.  Longer distances come from a bidirectional breadth-first
-search over the subgraph of slopes with |p| <= cap and q <= cap; those
-results are exact for the capped subgraph and upper bounds for the full
-graph.  (An uncapped search is ill-defined: 0/1 alone is adjacent to every
-1/q.)  All arithmetic is plain Python integer arithmetic, hence exact at
-every size.
+full graph.  Longer full-graph distances come from a bidirectional
+breadth-first search over the subgraph of slopes with |p| <= cap and
+q <= cap; those results are exact for the capped subgraph and upper
+bounds for the full graph.  (An uncapped search is ill-defined: 0/1 alone
+is adjacent to every 1/q.)  The search serves the full graph only: even
+distances have a closed form, in :mod:`spinebound.evenfarey`.  All
+arithmetic is plain Python integer arithmetic, hence exact at every size.
 
 The search expands vertices in (q, p) order, and each expansion lists its
 neighbours in closed form: the slopes dual to v are x0 + t*v up to sign,
 all primitive and no two antipodal, so their canonical forms make two
 arithmetic runs that alternate in (q, p) order and are interleaved with
-no gcd, set or sort.  In the even graph, where every Farey triangle has
-one odd vertex, the neighbours of an even slope are every second member
-of each run.
+no gcd, set or sort.
 """
 
 from __future__ import annotations
@@ -176,9 +175,8 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     return pair[0], pair[1]
 
 
-def _neighbor_tuples(v: tuple[int, int], cap: int, even: bool = False) -> list[tuple[int, int]]:
-    """Canonical slopes dual to v within the cap box, sorted by (q, p);
-    with even=True only those with p*q even.
+def _neighbor_tuples(v: tuple[int, int], cap: int) -> list[tuple[int, int]]:
+    """Canonical slopes dual to v within the cap box, sorted by (q, p).
 
     For v = p/q with q >= 1, take x0 = (a0, b0) with det(v, x0) = 1 and
     1 <= b0 <= q.  The solutions of det(v, x) = 1 are x_t = x0 + t*v; a
@@ -193,17 +191,10 @@ def _neighbor_tuples(v: tuple[int, int], cap: int, even: bool = False) -> list[t
     interval of t, so when both runs are nonempty it cuts only their far
     ends, and interleaving them from the smaller head, then appending
     the longer run's tail, is the sorted list without a keyed sort.
-
-    Consecutive members x_t, x_{t+1} = x_t + v form a Farey triangle with
-    v, which has exactly one odd vertex.  So for an even v the parity of
-    x_t alternates in t, an antipode keeps it, and the even members are
-    every second member of each run, still alternating; for an odd v all
-    members are even.
     """
     p, q = v
     if not q:  # v = 1/0: the family is (t, 1), a single run
-        return [(t, 1) for t in range(-cap + cap % 2 if even else -cap, cap + 1, 1 + even)]
-    step = 2 if even and not p * q % 2 else 1
+        return [(t, 1) for t in range(-cap, cap + 1)]
     b0 = pow(p, -1, q) or q
     a0 = (p * b0 - 1) // q  # det(v, x0) = p*b0 - a0*q = 1
     lo, hi = -((cap + b0) // q), (cap - b0) // q  # |b0 + t*q| <= cap
@@ -211,11 +202,8 @@ def _neighbor_tuples(v: tuple[int, int], cap: int, even: bool = False) -> list[t
         c = cap if p > 0 else -cap
         lo, hi = max(lo, -((c + a0) // p)), min(hi, (c - a0) // p)
     s, k = max(lo, 0), max(-hi, 1)  # first t of the x_t run, first k of the k*v - x0 run
-    if step == 2:
-        s += (a0 + s * p) * (b0 + s * q) % 2
-        k += (k * p - a0) * (k * q - b0) % 2
-    xs = [(a0 + t * p, b0 + t * q) for t in range(s, hi + 1, step)]
-    ys = [(t * p - a0, t * q - b0) for t in range(k, 1 - lo, step)]
+    xs = [(a0 + t * p, b0 + t * q) for t in range(s, hi + 1)]
+    ys = [(t * p - a0, t * q - b0) for t in range(k, 1 - lo)]
     if not (xs and ys):
         return xs or ys
     if (ys[0][1], ys[0][0]) < (xs[0][1], xs[0][0]):
@@ -232,10 +220,8 @@ def neighbors(s: Slope, cap: int) -> list[Slope]:
     The duals are x0 + t*s up to sign: each is primitive because its
     determinant with s is 1, so no gcd is taken, and their canonical
     forms make two runs that alternate in (q, p) order, so they are
-    interleaved rather than sorted.  Every Farey triangle has one odd
-    vertex, so along a run the neighbours of an even s alternate in
-    parity and the even search keeps every second member.  The full
-    argument is at `_neighbor_tuples`.
+    interleaved rather than sorted.  The full argument is at
+    `_neighbor_tuples`.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -308,12 +294,10 @@ def parent_trace(s: Slope, parent: Callable[[Slope], Slope]) -> list[Slope]:
     return out
 
 
-def _fallback_walk(
-    a: Slope, b: Slope, parent: Callable[[Slope], Slope], kind: PathKind
-) -> SlopePath:
-    """A valid a-to-b walk through 0/1 built from the parent traces of both ends."""
-    walk = parent_trace(a, parent) + parent_trace(b, parent)[::-1][1:]
-    return SlopePath(tuple(_splice(walk)), kind)
+def _fallback_walk(a: Slope, b: Slope) -> SlopePath:
+    """A valid a-to-b walk through 0/1 built from the mediant traces of both ends."""
+    walk = parent_trace(a, mediant_parent) + parent_trace(b, mediant_parent)[::-1][1:]
+    return SlopePath(tuple(_splice(walk)))
 
 
 def _branch(
@@ -327,45 +311,39 @@ def _branch(
     return out
 
 
-def _graph_distance(
+def farey_distance(
     a: Slope,
     b: Slope,
     cap: int,
     *,
-    even: bool,
-    upper: SlopePath | None,
-    parent: Callable[[Slope], Slope],
+    upper: SlopePath | None = None,
 ) -> tuple[int, SlopePath]:
-    """Distance engine shared by the full and even Farey graphs.
+    """Distance and witness path between two slopes.
 
-    Distances 0/1/2 are decided by closed forms (exact for the full
-    graph).  Otherwise a bidirectional BFS runs over the capped subgraph,
+    Distances 0/1/2 are decided by closed forms, exact for the full
+    graph.  Otherwise a bidirectional BFS runs over the capped subgraph,
     expanding the smaller frontier one full layer at a time; the first
     layer after which the two visited sets intersect yields the exact
-    capped distance.  When `upper` is given and no shorter path can exist
-    the witness is returned as the exact capped answer.  Expanding more
-    than `_MAX_NODES` vertices raises :class:`NoPathWithinCap` carrying
-    `upper`, or else the walk through 0/1 that `parent` traces from both
-    endpoints.
+    capped distance, an upper bound for the full graph that is monotone
+    nonincreasing in cap.  When `upper` is given and no shorter path can
+    exist the witness is returned as the exact capped answer.  Expanding
+    more than `_MAX_NODES` vertices raises :class:`NoPathWithinCap`
+    carrying `upper`, or else the walk through 0/1 that the mediant
+    traces of both endpoints give.
     """
-    kind = PathKind.EVEN_FAREY if even else PathKind.FAREY
-    if even and not (is_even_vertex(a) and is_even_vertex(b)):
-        raise DomainError("both endpoints of an even-graph search must be even")
     if a == b:
-        return 0, SlopePath((a,), kind)
+        return 0, SlopePath((a,))
     lim = max(abs(a.p), a.q, abs(b.p), b.q)
     if cap < lim:
         raise ValueError(f"cap {cap} is below the endpoint complexity {lim}")
     if abs(farey_det(a, b)) == 1:
-        return 1, SlopePath((a, b), kind)
+        return 1, SlopePath((a, b))
     mids = common_neighbors(a, b)
-    if even:
-        mids = [m for m in mids if is_even_vertex(m)]
     if mids:
-        return 2, SlopePath((a, mids[0], b), kind)
+        return 2, SlopePath((a, mids[0], b))
 
     def give_up() -> None:
-        witness = upper if upper is not None else _fallback_walk(a, b, parent, kind)
+        witness = upper if upper is not None else _fallback_walk(a, b)
         raise NoPathWithinCap(witness.edges, witness)
 
     upper_edges = upper.edges if upper is not None else None
@@ -388,7 +366,7 @@ def _graph_distance(
             expanded += 1
             if expanded > _MAX_NODES:
                 give_up()
-            for w in _neighbor_tuples(v, cap, even):
+            for w in _neighbor_tuples(v, cap):
                 if w not in prev_here:
                     prev_here[w] = v
                     next_frontier.append(w)
@@ -402,24 +380,7 @@ def _graph_distance(
             # walk; the shortest wins, ties going to the smaller (q, p).
             walks = {w: _branch(prev_f, w)[::-1] + _branch(prev_b, w)[1:] for w in meets}
             meet = min(meets, key=lambda t: (len(walks[t]), t[1], t[0]))
-            path = SlopePath(tuple(Slope(p, q) for p, q in walks[meet]), kind)
+            path = SlopePath(tuple(Slope(p, q) for p, q in walks[meet]))
             return path.edges, path
     give_up()
     raise AssertionError("unreachable")
-
-
-def farey_distance(
-    a: Slope,
-    b: Slope,
-    cap: int,
-    *,
-    upper: SlopePath | None = None,
-) -> tuple[int, SlopePath]:
-    """Distance and witness path between two slopes.
-
-    Exact for distances <= 2; otherwise exact for the cap-restricted
-    graph (an upper bound for the full graph) and monotone nonincreasing
-    in cap.  Raises :class:`NoPathWithinCap` with a parent-trace witness
-    when the search expands more than `_MAX_NODES` vertices.
-    """
-    return _graph_distance(a, b, cap, even=False, upper=upper, parent=mediant_parent)

@@ -5,9 +5,11 @@ two sides are the 0/1 curve and the p/q curve.  Walking from 0/1 through
 1/0 to a slope of L(p, q) in the Farey graph (or its even subgraph)
 produces a trisected connect sum of n sphere bundles containing the lens
 space, where n is one less than the number of edges walked.  The twisted
-bound minimizes over all homeomorphism representatives in the full graph;
-the untwisted bound does the same in the even subgraph, where every
-summand split off is S2 x S2.
+bound minimizes over all homeomorphism representatives in the full graph,
+by a capped search that is exact for the cap-restricted graph.  The
+untwisted bound does the same in the even subgraph, where every summand
+split off is S2 x S2; its distances have a closed form, exact for the
+whole even graph.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .evenfarey import even_distance, even_trace
+# even_trace is not called here; it stays importable as lens.even_trace,
+# which perfbench/spans.py wraps next to the two distance engines.
+from .evenfarey import even_distance, even_trace  # noqa: F401
 from .farey import (
     LONGITUDE,
     MERIDIAN,
     NoPathWithinCap,
-    PathKind,
     Slope,
     SlopePath,
     default_cap,
@@ -57,8 +61,10 @@ class LensSpace:
 
 
 class Exactness(str, Enum):
-    CERTIFIED = "certified"  # exact for the cap-restricted search
-    UPPER_BOUND = "upper_bound"  # witness from a parent trace; search gave up
+    # Untwisted answers: exact for the whole even graph.  Twisted ones:
+    # exact for the cap-restricted full graph.
+    CERTIFIED = "certified"
+    UPPER_BOUND = "upper_bound"  # twisted only: a parent-trace witness; the search gave up
 
 
 @dataclass(frozen=True)
@@ -98,46 +104,33 @@ def equivalent_reps(lens: LensSpace) -> frozenset[LensSpace]:
     return frozenset(LensSpace(p, r) for r in (q, p - q, qinv, p - qinv))
 
 
-def _root_walk(target: Slope, even: bool) -> SlopePath:
-    """The parent-trace walk [0/1, 1/0, ..., target].
+def _mediant_tail(target: Slope) -> SlopePath:
+    """The mediant-trace walk [1/0, ..., target].
 
     For a lens representative the target has p > q >= 1, and every
     mediant ancestor of such a slope again has numerator >= denominator,
-    so the trace bottoms out at 1/0 and the reversed walk starts with the
-    standard 0/1, 1/0 prefix.
+    so the trace bottoms out at 1/0.
     """
-    if even:
-        trace, kind = even_trace(target).vertices, PathKind.EVEN_FAREY
-    else:
-        trace, kind = parent_trace(target, mediant_parent), PathKind.FAREY
+    trace = parent_trace(target, mediant_parent)
     if trace[-2] != LONGITUDE:
         raise RuntimeError(f"trace of {target} does not route through 1/0")
-    return SlopePath(tuple(reversed(trace)), kind)
+    return SlopePath(tuple(reversed(trace[:-1])))
 
 
-def _prepend_meridian(path: SlopePath) -> SlopePath:
-    return SlopePath((MERIDIAN,) + path.vertices, path.kind)
+_Walk = tuple[int, SlopePath, Exactness]
 
 
-def _best_bound(lens: LensSpace, cap: int | None, even: bool) -> BoundResult:
-    cap = cap if cap is not None else default_cap(Slope(lens.p, lens.q))
+def _best_bound(lens: LensSpace, walk: Callable[[Slope], _Walk], *, even: bool) -> BoundResult:
+    """The shortest `walk` from 1/0 over the lens space's representatives,
+    prefixed with 0/1; in the even graph only even targets are tried."""
     best: BoundResult | None = None
     for rep in sorted(equivalent_reps(lens), key=lambda r: r.q):
         target = Slope(rep.p, rep.q)
         if even and not is_even_vertex(target):
             continue
-        witness = _root_walk(target, even)
-        tail = SlopePath(witness.vertices[1:], witness.kind)  # from 1/0
-        search = even_distance if even else farey_distance
-        try:
-            d, path = search(LONGITUDE, target, cap, upper=tail)
-            cand = BoundResult(d, _prepend_meridian(path), rep, Exactness.CERTIFIED)
-        except NoPathWithinCap as exc:
-            cand = BoundResult(
-                exc.upper_bound, _prepend_meridian(exc.path), rep, Exactness.UPPER_BOUND
-            )
-        if best is None or cand.n < best.n:
-            best = cand
+        d, path, exactness = walk(target)
+        if best is None or d < best.n:
+            best = BoundResult(d, SlopePath((MERIDIAN,) + path.vertices, path.kind), rep, exactness)
         if best.n == 1:
             break
     if best is None:
@@ -152,19 +145,33 @@ def twisted_bound(lens: LensSpace, cap: int | None = None) -> BoundResult:
 
     Minimizes the walk length from 0/1 through 1/0 over all homeomorphism
     representatives; n >= 1 always since p >= 2 keeps the target at
-    distance >= 2 from 0/1.
+    distance >= 2 from 0/1.  A `certified` answer is exact for the graph
+    capped at `cap` (default `default_cap`); when the search gives up,
+    the mediant trace is the `upper_bound` answer.
     """
-    return _best_bound(lens, cap, even=False)
+    cap = cap if cap is not None else default_cap(Slope(lens.p, lens.q))
+
+    def walk(target: Slope) -> _Walk:
+        try:
+            d, path = farey_distance(LONGITUDE, target, cap, upper=_mediant_tail(target))
+        except NoPathWithinCap as exc:
+            return exc.upper_bound, exc.path, Exactness.UPPER_BOUND
+        return d, path, Exactness.CERTIFIED
+
+    return _best_bound(lens, walk, even=False)
 
 
-def untwisted_bound(lens: LensSpace, cap: int | None = None) -> BoundResult:
+def untwisted_bound(lens: LensSpace) -> BoundResult:
     """Like :func:`twisted_bound` but restricted to the even Farey graph.
 
     Every vertex of the witness walk is even, so the resulting connect
-    sum is built from untwisted bundles only.  When the search gives up,
-    the even parent trace still guarantees n <= p - 1.
+    sum is built from untwisted bundles only.  Every answer is
+    `certified`, which here means exact for the whole even graph: the
+    walk is the even trace of the winning representative.
     """
-    return _best_bound(lens, cap, even=True)
+    return _best_bound(
+        lens, lambda target: (*even_distance(LONGITUDE, target), Exactness.CERTIFIED), even=True
+    )
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,8 @@ def prop_bound_table(p_max: int, cap: int | None = None) -> list[TableRow]:
     """Both bounds for every lens space with 2 <= p <= p_max.
 
     One row per homeomorphism class, keyed by the representative with the
-    smallest q; rows are ordered by (p, q).
+    smallest q; rows are ordered by (p, q).  `cap` bounds the twisted
+    search only.
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
@@ -190,5 +198,5 @@ def prop_bound_table(p_max: int, cap: int | None = None) -> list[TableRow]:
             lens = LensSpace(p, q)
             if min(r.q for r in equivalent_reps(lens)) != q:
                 continue
-            rows.append(TableRow(lens, twisted_bound(lens, cap), untwisted_bound(lens, cap)))
+            rows.append(TableRow(lens, twisted_bound(lens, cap), untwisted_bound(lens)))
     return rows

@@ -57,22 +57,26 @@ def naive_adjacency(cap, even=False):
     return _ADJ_CACHE[key]
 
 
-def naive_distance(a, b, cap, even=False):
-    """Unidirectional BFS over the scanned adjacency; None if disconnected."""
+def naive_distances(a, cap, even=False):
+    """Unidirectional BFS over the scanned adjacency: the distance from a
+    to every slope it reaches within the cap."""
     adj = naive_adjacency(cap, even)
-    if a not in adj or b not in adj:
-        return None
     dist = {a: 0}
     queue = deque([a])
     while queue:
         v = queue.popleft()
-        if v == b:
-            return dist[v]
         for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    return None
+    return dist
+
+
+def naive_distance(a, b, cap, even=False):
+    """The distance from a to b by `naive_distances`; None if disconnected."""
+    if a not in naive_adjacency(cap, even):
+        return None
+    return naive_distances(a, cap, even).get(b)
 
 
 def cofactor_det(rows):

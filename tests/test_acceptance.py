@@ -128,13 +128,13 @@ def test_c5_even_figure_walk():
     path = even_trace(S("5/4"))
     assert [str(v) for v in path.vertices] == ["5/4", "4/3", "3/2", "2/1", "1/0", "0/1"]
     assert path.edges == 5
-    d, _ = even_distance(S("0/1"), S("5/4"), 64)
+    d, _ = even_distance(S("0/1"), S("5/4"))
     assert d <= 5
     assert d == 5, (
-        f"FINDING: even-graph BFS found distance {d} < 5 to 5/4, contradicting the "
+        f"FINDING: even-graph distance {d} < 5 to 5/4, contradicting the "
         "iteration-depth expectation; log this against the open question"
     )
-    report("C5", "even trace of 5/4 has length 5 and BFS at cap 64 agrees")
+    report("C5", "even trace of 5/4 has length 5 and the even distance agrees")
 
 
 def test_c6_unique_even_parent_to_300():

@@ -34,14 +34,20 @@ class TestDist:
         assert out.splitlines()[0] == "0"
 
     def test_even_figure_distance(self, capsys):
-        code, out, _ = run(capsys, "dist", "0/1", "5/4", "--even", "--cap", "64")
+        code, out, _ = run(capsys, "dist", "0/1", "5/4", "--even")
         assert code == 0
-        assert out.splitlines()[0].startswith("5 : ")
+        assert out.splitlines() == ["5 : 0/1 1/0 2/1 3/2 4/3 5/4", "exactness: exact"]
 
-    def test_even_give_up_exits_3(self, capsys):
+    def test_even_long_walk_is_exact(self, capsys):
         code, out, _ = run(capsys, "dist", "--even", "1/0", "81/80")
-        assert code == 3
-        assert out.startswith("no path within cap 648; upper bound 80 : 1/0 2/1 ")
+        assert code == 0
+        walk = " ".join(["1/0"] + [f"{k + 1}/{k}" for k in range(1, 81)])
+        assert out.splitlines() == [f"80 : {walk}", "exactness: exact"]
+
+    def test_even_refuses_cap(self, capsys):
+        code, out, err = run(capsys, "dist", "--even", "0/1", "5/4", "--cap", "64")
+        assert code == 1 and out == ""
+        assert err == "error: --even takes no --cap\n"
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "dist", "0/0", "1/2")
@@ -164,6 +170,13 @@ class TestBuild:
         code, _, err = run(capsys, "build", "4", "2")
         assert code == 1
 
+    def test_even_mode_refuses_cap(self, capsys, tmp_path):
+        out_file = tmp_path / "d.json"
+        argv = ["build", "7", "2", "--mode", "even", "--cap", "64", "--out", str(out_file)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err == "error: --mode even takes no --cap\n"
+
     def test_cap_below_endpoint(self, capsys, tmp_path):
         out_file = tmp_path / "d.json"
         code, _, err = run(capsys, "build", "7", "2", "--cap", "3", "--out", str(out_file))
@@ -265,6 +278,24 @@ class TestRenderAndVerify:
         code, _, err = run(capsys, "render", str(bad), str(tmp_path / "x.svg"))
         assert code == 1
         assert err.startswith("error: malformed diagram")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "{file}"], "error: cannot read diagram: "),
+            (["render", "{file}", "{tmp}/x.svg"], "error: cannot read diagram: "),
+            (["build", "--path-file", "{file}", "--out", "{tmp}/d.json"], "error: cannot read walk: "),
+        ],
+        ids=["verify", "render", "build"],
+    )
+    def test_deep_nesting_is_an_input_error(self, capsys, tmp_path, argv, message):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [a.format(file=deep, tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(message) and "recursion" in err
+        assert not (tmp_path / "x.svg").exists() and not (tmp_path / "d.json").exists()
 
     def test_verify_non_object_json(self, capsys, tmp_path):
         bad = tmp_path / "list.json"

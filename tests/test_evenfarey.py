@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from spinebound import (
@@ -10,9 +11,11 @@ from spinebound import (
     MERIDIAN,
     PathKind,
     Slope,
+    canonical,
     even_distance,
     even_parent,
     even_trace,
+    farey_det,
     farey_distance,
     farey_parents,
     is_even_vertex,
@@ -91,21 +94,21 @@ class TestEvenTrace:
 
 class TestEvenDistance:
     def test_7_2(self):
-        d, path = even_distance(S("0/1"), S("7/2"), 32)
+        d, path = even_distance(S("0/1"), S("7/2"))
         assert d == 3
         assert [str(v) for v in path.vertices] == ["0/1", "1/0", "4/1", "7/2"]
 
     def test_adjacent_roots(self):
-        d, _ = even_distance(S("0/1"), S("1/0"), 4)
+        d, _ = even_distance(S("0/1"), S("1/0"))
         assert d == 1
 
     def test_5_4(self):
-        d, _ = even_distance(S("0/1"), S("5/4"), 64)
+        d, _ = even_distance(S("0/1"), S("5/4"))
         assert d == 5
 
     def test_odd_endpoint_rejected(self):
         with pytest.raises(DomainError):
-            even_distance(S("1/1"), S("0/1"), 8)
+            even_distance(S("1/1"), S("0/1"))
 
     def test_dominates_full_graph_distance(self):
         rng = random.Random(8)
@@ -113,7 +116,7 @@ class TestEvenDistance:
         for _ in range(25):
             a = Slope(*rng.choice(evens))
             b = Slope(*rng.choice(evens))
-            de, _ = even_distance(a, b, 64)
+            de, _ = even_distance(a, b)
             df, _ = farey_distance(a, b, 64)
             assert de >= df
 
@@ -124,10 +127,43 @@ class TestEvenDistance:
         for _ in range(25):
             a = Slope(*rng.choice(evens))
             b = Slope(*rng.choice(evens))
-            d, path = even_distance(a, b, cap)
+            d, path = even_distance(a, b)
             naive = oracles.naive_distance((a.p, a.q), (b.p, b.q), cap, even=True)
             assert d == naive
             assert path.edges == d
+
+    def test_every_small_pair_against_naive_even_bfs(self):
+        """Every ordered pair of even slopes with |p|, q <= 8 against the
+        scanned even graph at cap 16 = 2 * 8: the distance matches, and the
+        walk joins the endpoints through even duals in that many edges."""
+        evens = [v for v in oracles.all_slopes(8) if (v[0] * v[1]) % 2 == 0]
+        for a in evens:
+            naive = oracles.naive_distances(a, 16, even=True)
+            for b in evens:
+                d, path = even_distance(Slope(*a), Slope(*b))
+                assert d == naive[b], (a, b)
+                vertices = [(v.p, v.q) for v in path.vertices]
+                assert vertices[0] == a and vertices[-1] == b
+                assert all(u[0] * u[1] % 2 == 0 for u in vertices)
+                assert all(abs(oracles.det(u, w)) == 1 for u, w in zip(vertices, vertices[1:]))
+                assert path.edges == d
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-5000, 5000), st.integers(0, 5000),
+        st.integers(-5000, 5000), st.integers(0, 5000),
+    )
+    def test_large_pairs_give_symmetric_even_walks(self, pa, qa, pb, qb):
+        assume((pa, qa) != (0, 0) and (pb, qb) != (0, 0))
+        a, b = canonical(pa, qa), canonical(pb, qb)
+        assume(is_even_vertex(a) and is_even_vertex(b))
+        d, path = even_distance(a, b)
+        assert path.vertices[0] == a and path.vertices[-1] == b
+        assert all(is_even_vertex(v) for v in path.vertices)
+        assert all(abs(farey_det(u, v)) == 1 for u, v in zip(path.vertices, path.vertices[1:]))
+        assert path.edges == d
+        back, _ = even_distance(b, a)
+        assert back == d
 
     def test_bounded_by_trace_concatenation(self):
         rng = random.Random(10)
@@ -135,7 +171,7 @@ class TestEvenDistance:
         for _ in range(20):
             a = Slope(*rng.choice(evens))
             b = Slope(*rng.choice(evens))
-            d, _ = even_distance(a, b, 96)
+            d, _ = even_distance(a, b)
             assert d <= even_trace(a).edges + even_trace(b).edges
 
 
@@ -155,7 +191,7 @@ class TestIterationIndex:
         # from 0/1 is 3, so depth and distance must stay separate
         # quantities; depth only ever bounds the distance from above.
         assert iteration_index(S("7/2")) == 5
-        d, _ = even_distance(S("0/1"), S("7/2"), 32)
+        d, _ = even_distance(S("0/1"), S("7/2"))
         assert d == 3
         assert iteration_index(S("5/2")) == 4
 
@@ -170,5 +206,5 @@ class TestIterationIndex:
         ]
         for _ in range(30):
             s = Slope(*rng.choice(evens))
-            d, _ = even_distance(MERIDIAN, s, 96)
+            d, _ = even_distance(MERIDIAN, s)
             assert iteration_index(s) >= d

@@ -22,7 +22,6 @@ from spinebound import (
     neighbors,
 )
 from spinebound import farey
-from spinebound.farey import _neighbor_tuples
 
 
 def S(text):
@@ -152,16 +151,12 @@ class TestNeighbors:
 
     def test_every_small_slope_and_cap_against_brute_force(self):
         """The closed-form runs match the scan for every slope with
-        |p|, q <= 12 at every cap from its complexity to 14; the even list
-        is the scanned list filtered to p*q even."""
+        |p|, q <= 12 at every cap from its complexity to 14."""
         for p, q in oracles.all_slopes(12):
             s = Slope(p, q)
             for cap in range(max(abs(p), q), 15):
                 want = oracles.naive_neighbors((p, q), cap)
                 assert [(t.p, t.q) for t in neighbors(s, cap)] == want, (s, cap)
-                assert _neighbor_tuples((p, q), cap, even=True) == [
-                    t for t in want if t[0] * t[1] % 2 == 0
-                ], (s, cap)
 
     def test_monotone_in_cap_and_all_dual(self):
         for s in (S("0/1"), S("1/0"), S("7/2"), S("-5/3")):

@@ -11,6 +11,7 @@ from spinebound import (
     PathKind,
     Slope,
     equivalent_reps,
+    even_trace,
     is_even_vertex,
     normalize,
     prop_bound_table,
@@ -113,11 +114,10 @@ class TestUntwistedBound:
         assert res.path.vertices[:3] == (MERIDIAN, LONGITUDE, Slope(2, 1))
         assert res.path.vertices[-1] == Slope(19, 18)
 
-    def test_give_up_falls_back_to_the_even_trace(self):
-        # The even search from 1/0 to 81/80 exhausts its node budget; the
-        # answer is the even parent trace 0/1, 1/0, 2/1, ..., 81/80.
+    def test_long_even_trace_is_certified(self):
+        # The even trace 0/1, 1/0, 2/1, ..., 81/80 is the exact answer.
         res = untwisted_bound(LensSpace(81, 1))
-        assert res.exactness is Exactness.UPPER_BOUND
+        assert res.exactness is Exactness.CERTIFIED
         assert res.n == 80
         assert res.representative == LensSpace(81, 80)
         ladder = tuple(Slope(k + 1, k) for k in range(1, 81))
@@ -137,6 +137,26 @@ class TestUntwistedBound:
             res = untwisted_bound(LensSpace(p, q))
             assert all(is_even_vertex(v) for v in res.path.vertices)
             assert res.n == res.path.edges - 1
+
+    def test_shortest_even_trace_for_every_lens_space_to_300(self):
+        """n is one less than the shortest even trace over the even
+        representatives, and the walk is that trace reversed, the smaller
+        q winning ties.  The bound depends only on the class of
+        representatives, so one member per class covers every lens space
+        with p <= 300."""
+        for p in range(2, 301):
+            done = set()
+            for q in range(1, p):
+                if math.gcd(p, q) != 1 or q in done:
+                    continue
+                reps = sorted(equivalent_reps(LensSpace(p, q)), key=lambda r: r.q)
+                done.update(r.q for r in reps)
+                targets = [Slope(r.p, r.q) for r in reps if is_even_vertex(Slope(r.p, r.q))]
+                best = min((even_trace(t) for t in targets), key=lambda t: t.edges)
+                res = untwisted_bound(LensSpace(p, q))
+                assert res.n == best.edges - 1, (p, q)
+                assert res.path.vertices[1:] == best.vertices[-2::-1], (p, q)
+                assert res.exactness is Exactness.CERTIFIED
 
     def test_never_below_twisted(self):
         rng = random.Random(14)
