@@ -19,7 +19,6 @@ from .farey import (
     SlopePath,
     canonical,
     common_neighbors,
-    default_cap,
     farey_det,
     farey_distance,
     farey_parents,

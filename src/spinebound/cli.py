@@ -9,9 +9,8 @@ Commands
     verify       recompute and cross-check a diagram JSON
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 the
-full-graph search gave up (cap/budget exhausted; the best known upper
-bound is printed).  `--cap` bounds that search only: even-graph
-distances and untwisted bounds are exact with no search.
+full-graph search ran out of its node budget (the best known upper bound
+is printed).  Every other distance printed is exact for the whole graph.
 All output is deterministic: identical inputs give byte-identical files.
 
 A failing `verify` prints one `FAIL` line for each top-level key of the
@@ -38,6 +37,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -48,7 +48,6 @@ from .farey import (
     InvalidSlopeError,
     NoPathWithinCap,
     Slope,
-    default_cap,
     farey_distance,
 )
 
@@ -298,13 +297,21 @@ def _bound_doc(result: lens_mod.BoundResult) -> dict:
     }
 
 
+# argparse reads only -<digits> as a negative number and anything else
+# that starts with "-" as an option.
+_NEGATIVE_SLOPE = re.compile(r"-\d+/-?\d+")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; keep 2 for verify failures
         self.print_usage(sys.stderr)
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
-
-_CAP_HELP = "coordinate cap for the twisted (full-graph) search"
+    def _parse_optional(self, arg_string):
+        """A negative slope such as -5/2 is an argument, not an option."""
+        if _NEGATIVE_SLOPE.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,15 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("a", help="slope, e.g. 0/1")
     p_dist.add_argument("b", help="slope, e.g. 7/2")
     p_dist.add_argument("--even", action="store_true", help="restrict to the even graph")
-    p_dist.add_argument(
-        "--cap", type=int, default=None, help="coordinate cap for the full-graph search"
-    )
     p_dist.set_defaults(func=cmd_dist)
 
     p_lb = sub.add_parser("lens-bounds", help="summand bounds for L(p, q)")
     p_lb.add_argument("p", type=int)
     p_lb.add_argument("q", type=int)
-    p_lb.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_lb.set_defaults(func=cmd_lens_bounds)
 
     p_build = sub.add_parser("build", help="build a diagram JSON file")
@@ -331,13 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("q", type=int, nargs="?")
     p_build.add_argument("--path-file", default=None, help="JSON walk instead of a lens space")
     p_build.add_argument("--mode", choices=("any", "even"), default=None)
-    p_build.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_build.add_argument("--out", default="diagram.json")
     p_build.set_defaults(func=cmd_build)
 
     p_table = sub.add_parser("table", help="CSV of bounds for all p <= pmax")
     p_table.add_argument("--pmax", type=int, required=True)
-    p_table.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p_table.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_table.set_defaults(func=cmd_table)
 
@@ -359,26 +360,19 @@ def cmd_dist(args) -> int:
     except InvalidSlopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    if args.even and args.cap is not None:
-        print("error: --even takes no --cap", file=sys.stderr)
-        return _EXIT_INPUT
     try:
-        if args.even:
-            d, path = even_distance(a, b)
-        else:
-            cap = args.cap if args.cap is not None else default_cap(a, b)
-            d, path = farey_distance(a, b, cap)
-    except (DomainError, ValueError) as exc:
+        d, path = even_distance(a, b) if args.even else farey_distance(a, b)
+    except DomainError as exc:  # an odd endpoint in the even graph
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except NoPathWithinCap as exc:
-        print(f"no path within cap {cap}; upper bound {exc.upper_bound} : {exc.path}")
+        print(f"no path within the search budget; upper bound {exc.upper_bound} : {exc.path}")
         return _EXIT_EXHAUSTED
     if d == 0:
         print("0")
     else:
         print(f"{d} : {path}")
-    print(f"exactness: {'exact' if args.even or d <= 2 else 'exact-within-cap'}")
+    print("exactness: exact")
     return _EXIT_OK
 
 
@@ -390,10 +384,10 @@ def cmd_lens_bounds(args) -> int:
             "p": lens.p,
             "q": lens.q,
             "reps": [{"p": r.p, "q": r.q} for r in reps],
-            "twisted": _bound_doc(lens_mod.twisted_bound(lens, args.cap)),
+            "twisted": _bound_doc(lens_mod.twisted_bound(lens)),
             "untwisted": _bound_doc(lens_mod.untwisted_bound(lens)),
         }
-    except ValueError as exc:  # invalid lens space, or a cap below its complexity
+    except ValueError as exc:  # not a lens space
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     sys.stdout.write(_dump_json(doc))
@@ -420,7 +414,7 @@ def cmd_build(args) -> int:
     if args.path_file is not None:
         given = [
             name
-            for name, value in (("p q", args.p), ("--mode", args.mode), ("--cap", args.cap))
+            for name, value in (("p q", args.p), ("--mode", args.mode))
             if value is not None
         ]
         if given:
@@ -440,13 +434,10 @@ def cmd_build(args) -> int:
         if args.p is None or args.q is None:
             print("error: give p q or --path-file", file=sys.stderr)
             return _EXIT_INPUT
-        if args.mode == "even" and args.cap is not None:
-            print("error: --mode even takes no --cap", file=sys.stderr)
-            return _EXIT_INPUT
         try:
             lens = lens_mod.normalize(args.p, args.q)
-            path = construct.path_from_lens(lens, args.mode or "any", args.cap)
-        except ValueError as exc:  # invalid lens space, or a cap below its complexity
+            path = construct.path_from_lens(lens, args.mode or "any")
+        except ValueError as exc:  # not a lens space
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INPUT
     diagram = construct.build_diagram(path)
@@ -465,11 +456,7 @@ def cmd_table(args) -> int:
     if args.pmax < 2:
         print("error: --pmax must be at least 2", file=sys.stderr)
         return _EXIT_INPUT
-    try:
-        rows = lens_mod.prop_bound_table(args.pmax, args.cap)
-    except ValueError as exc:  # a cap below some lens space's complexity
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
+    rows = lens_mod.prop_bound_table(args.pmax)
     try:
         out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     except OSError as exc:

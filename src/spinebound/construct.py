@@ -153,15 +153,14 @@ def _check_steps(path: DualPath) -> None:
         raise ValueError("invalid path: " + "; ".join(str(v) for v in bad))
 
 
-def path_from_lens(lens: LensSpace, mode: str = "any", cap: int | None = None) -> DualPath:
+def path_from_lens(lens: LensSpace, mode: str = "any") -> DualPath:
     """Genus-1 walk ending at a slope of the given lens space.
 
     mode "any" walks the full Farey graph (twisted summands allowed),
     mode "even" stays on even slopes so all summands come out untwisted.
-    `cap` bounds the full-graph search only.
     """
     if mode == "any":
-        bound = twisted_bound(lens, cap)
+        bound = twisted_bound(lens)
     elif mode == "even":
         bound = untwisted_bound(lens)
     else:

@@ -6,14 +6,30 @@ class of an essential simple closed curve on the torus.  Two slopes are
 happens exactly when p1*q2 - p2*q1 = +-1.  The Farey graph has slopes as
 vertices and dual pairs as edges.
 
-Distances 0, 1 and 2 are decided by closed forms and are exact for the
-full graph.  Longer full-graph distances come from a bidirectional
-breadth-first search over the subgraph of slopes with |p| <= cap and
-q <= cap; those results are exact for the capped subgraph and upper
-bounds for the full graph.  (An uncapped search is ill-defined: 0/1 alone
-is adjacent to every 1/q.)  The search serves the full graph only: even
-distances have a closed form, in :mod:`spinebound.evenfarey`.  All
-arithmetic is plain Python integer arithmetic, hence exact at every size.
+Distances 0, 1 and 2 are decided by closed forms.  Longer distances come
+from a bidirectional breadth-first search over the box of slopes with
+|p| <= m and q <= m, where m is the largest coordinate of the two
+endpoints.  The box holds a shortest walk, so every distance the search
+returns is exact for the whole graph:
+
+- Separation.  Take x not a root (0/1 or 1/0), with mediant parents L
+  and R (reflected when x < 0).  No two Farey edges cross, so the edge
+  L--R cuts the slopes strictly between L and R, on the side of x, off
+  from all other slopes.  So if b is not strictly between them,
+  d(x, b) = 1 + min(d(L, b), d(R, b)).
+- Recursion.  The slopes strictly between the parents of x are x and
+  its descendants in the mediant tree, so two distinct slopes cannot
+  each lie strictly inside the other's parent interval, and a root lies
+  inside none.  So one endpoint can always be replaced by a parent,
+  down to the two roots, which are adjacent: some shortest walk from a
+  to b runs through mediant ancestors of a and b only.
+- Box.  The parents of p/q have numerators of size at most |p| and
+  denominators at most q, so every ancestor of a or b lies in the box.
+
+The search serves the full graph only: even distances have a closed
+form, in :mod:`spinebound.evenfarey`.  A node budget, `_MAX_NODES`, still
+bounds the work on large inputs.  All arithmetic is plain Python integer
+arithmetic, hence exact at every size.
 
 The search expands vertices in (q, p) order, and each expansion lists its
 neighbours in closed form: the slopes dual to v are x0 + t*v up to sign,
@@ -30,7 +46,7 @@ from enum import Enum
 from typing import Callable
 
 # How many vertices a single search may expand before giving up and
-# falling back to a parent-trace witness.
+# falling back to a walk that is only an upper bound.
 _MAX_NODES = 10_000
 
 
@@ -43,7 +59,7 @@ class DomainError(ValueError):
 
 
 class NoPathWithinCap(Exception):
-    """The capped search gave up before connecting the endpoints.
+    """The search passed its node budget before connecting the endpoints.
 
     Carries a valid (generally non-minimal) witness path assembled from
     mediant parent traces, so callers can still report an upper bound.
@@ -175,8 +191,8 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     return pair[0], pair[1]
 
 
-def _neighbor_tuples(v: tuple[int, int], cap: int) -> list[tuple[int, int]]:
-    """Canonical slopes dual to v within the cap box, sorted by (q, p).
+def _neighbor_tuples(v: tuple[int, int], box: int) -> list[tuple[int, int]]:
+    """Canonical slopes dual to v with |p| <= box and q <= box, sorted by (q, p).
 
     For v = p/q with q >= 1, take x0 = (a0, b0) with det(v, x0) = 1 and
     1 <= b0 <= q.  The solutions of det(v, x) = 1 are x_t = x0 + t*v; a
@@ -194,12 +210,12 @@ def _neighbor_tuples(v: tuple[int, int], cap: int) -> list[tuple[int, int]]:
     """
     p, q = v
     if not q:  # v = 1/0: the family is (t, 1), a single run
-        return [(t, 1) for t in range(-cap, cap + 1)]
+        return [(t, 1) for t in range(-box, box + 1)]
     b0 = pow(p, -1, q) or q
     a0 = (p * b0 - 1) // q  # det(v, x0) = p*b0 - a0*q = 1
-    lo, hi = -((cap + b0) // q), (cap - b0) // q  # |b0 + t*q| <= cap
-    if p:  # |a0 + t*p| <= cap; c keeps the floors on the right side for p < 0
-        c = cap if p > 0 else -cap
+    lo, hi = -((box + b0) // q), (box - b0) // q  # |b0 + t*q| <= box
+    if p:  # |a0 + t*p| <= box; c keeps the floors on the right side for p < 0
+        c = box if p > 0 else -box
         lo, hi = max(lo, -((c + a0) // p)), min(hi, (c - a0) // p)
     s, k = max(lo, 0), max(-hi, 1)  # first t of the x_t run, first k of the k*v - x0 run
     xs = [(a0 + t * p, b0 + t * q) for t in range(s, hi + 1)]
@@ -245,14 +261,6 @@ def common_neighbors(a: Slope, b: Slope) -> list[Slope]:
         if pn % d == 0 and qn % d == 0:
             found.add(_canon_pair(pn // d, qn // d))
     return [Slope(p, q) for p, q in sorted(found, key=lambda t: (t[1], t[0]))]
-
-
-def default_cap(*slopes: Slope) -> int:
-    """Search cap 8 * max(|p|, q, 4) over all endpoint coordinates."""
-    lim = 4
-    for s in slopes:
-        lim = max(lim, abs(s.p), s.q)
-    return 8 * lim
 
 
 def _splice(vertices: list[Slope]) -> list[Slope]:
@@ -312,30 +320,21 @@ def _branch(
 
 
 def farey_distance(
-    a: Slope,
-    b: Slope,
-    cap: int,
-    *,
-    upper: SlopePath | None = None,
+    a: Slope, b: Slope, *, upper: SlopePath | None = None
 ) -> tuple[int, SlopePath]:
-    """Distance and witness path between two slopes.
+    """Distance and witness path between two slopes, exact for the whole graph.
 
-    Distances 0/1/2 are decided by closed forms, exact for the full
-    graph.  Otherwise a bidirectional BFS runs over the capped subgraph,
+    Distances 0/1/2 are decided by closed forms.  Otherwise a
+    bidirectional BFS runs over the endpoint box of the module docstring,
     expanding the smaller frontier one full layer at a time; the first
-    layer after which the two visited sets intersect yields the exact
-    capped distance, an upper bound for the full graph that is monotone
-    nonincreasing in cap.  When `upper` is given and no shorter path can
-    exist the witness is returned as the exact capped answer.  Expanding
-    more than `_MAX_NODES` vertices raises :class:`NoPathWithinCap`
-    carrying `upper`, or else the walk through 0/1 that the mediant
-    traces of both endpoints give.
+    layer after which the two visited sets intersect yields the distance.
+    When `upper` is given and no shorter path can exist the witness is
+    returned as the answer.  Expanding more than `_MAX_NODES` vertices
+    raises :class:`NoPathWithinCap` carrying `upper`, or else the walk
+    through 0/1 that the mediant traces of both endpoints give.
     """
     if a == b:
         return 0, SlopePath((a,))
-    lim = max(abs(a.p), a.q, abs(b.p), b.q)
-    if cap < lim:
-        raise ValueError(f"cap {cap} is below the endpoint complexity {lim}")
     if abs(farey_det(a, b)) == 1:
         return 1, SlopePath((a, b))
     mids = common_neighbors(a, b)
@@ -347,6 +346,7 @@ def farey_distance(
         raise NoPathWithinCap(witness.edges, witness)
 
     upper_edges = upper.edges if upper is not None else None
+    box = max(abs(a.p), a.q, abs(b.p), b.q)
     src, dst = (a.p, a.q), (b.p, b.q)
     prev_f: dict[tuple[int, int], tuple[int, int] | None] = {src: None}
     prev_b: dict[tuple[int, int], tuple[int, int] | None] = {dst: None}
@@ -356,7 +356,7 @@ def farey_distance(
     while frontier_f and frontier_b:
         if upper_edges is not None and radius_f + radius_b + 1 >= upper_edges:
             # No meet so far means d >= radius_f + radius_b + 1, so the
-            # witness is already optimal for the capped subgraph.
+            # witness is already a shortest walk.
             return upper_edges, upper
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
@@ -366,7 +366,7 @@ def farey_distance(
             expanded += 1
             if expanded > _MAX_NODES:
                 give_up()
-            for w in _neighbor_tuples(v, cap):
+            for w in _neighbor_tuples(v, box):
                 if w not in prev_here:
                     prev_here[w] = v
                     next_frontier.append(w)
@@ -382,5 +382,4 @@ def farey_distance(
             meet = min(meets, key=lambda t: (len(walks[t]), t[1], t[0]))
             path = SlopePath(tuple(Slope(p, q) for p, q in walks[meet]))
             return path.edges, path
-    give_up()
-    raise AssertionError("unreachable")
+    raise AssertionError("unreachable: the endpoint box is connected")

@@ -6,10 +6,10 @@ two sides are the 0/1 curve and the p/q curve.  Walking from 0/1 through
 produces a trisected connect sum of n sphere bundles containing the lens
 space, where n is one less than the number of edges walked.  The twisted
 bound minimizes over all homeomorphism representatives in the full graph,
-by a capped search that is exact for the cap-restricted graph.  The
-untwisted bound does the same in the even subgraph, where every summand
-split off is S2 x S2; its distances have a closed form, exact for the
-whole even graph.
+by a search that is exact for the whole graph unless it passes its node
+budget.  The untwisted bound does the same in the even subgraph, where
+every summand split off is S2 x S2; its distances have a closed form,
+exact for the whole even graph.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .farey import (
     NoPathWithinCap,
     Slope,
     SlopePath,
-    default_cap,
     farey_distance,
     is_even_vertex,
     mediant_parent,
@@ -61,10 +60,10 @@ class LensSpace:
 
 
 class Exactness(str, Enum):
-    # Untwisted answers: exact for the whole even graph.  Twisted ones:
-    # exact for the cap-restricted full graph.
+    # Exact for the whole graph: the Farey graph for twisted answers, the
+    # even graph for untwisted ones.
     CERTIFIED = "certified"
-    UPPER_BOUND = "upper_bound"  # twisted only: a parent-trace witness; the search gave up
+    UPPER_BOUND = "upper_bound"  # twisted only: a parent-trace witness; the search passed its budget
 
 
 @dataclass(frozen=True)
@@ -140,20 +139,19 @@ def _best_bound(lens: LensSpace, walk: Callable[[Slope], _Walk], *, even: bool) 
     return best
 
 
-def twisted_bound(lens: LensSpace, cap: int | None = None) -> BoundResult:
+def twisted_bound(lens: LensSpace) -> BoundResult:
     """Fewest twisted-bundle summands our walks realize for this lens space.
 
     Minimizes the walk length from 0/1 through 1/0 over all homeomorphism
     representatives; n >= 1 always since p >= 2 keeps the target at
-    distance >= 2 from 0/1.  A `certified` answer is exact for the graph
-    capped at `cap` (default `default_cap`); when the search gives up,
-    the mediant trace is the `upper_bound` answer.
+    distance >= 2 from 0/1.  A `certified` answer is exact for the whole
+    Farey graph; when the search passes its node budget, the mediant
+    trace is the `upper_bound` answer.
     """
-    cap = cap if cap is not None else default_cap(Slope(lens.p, lens.q))
 
     def walk(target: Slope) -> _Walk:
         try:
-            d, path = farey_distance(LONGITUDE, target, cap, upper=_mediant_tail(target))
+            d, path = farey_distance(LONGITUDE, target, upper=_mediant_tail(target))
         except NoPathWithinCap as exc:
             return exc.upper_bound, exc.path, Exactness.UPPER_BOUND
         return d, path, Exactness.CERTIFIED
@@ -181,12 +179,11 @@ class TableRow:
     untwisted: BoundResult
 
 
-def prop_bound_table(p_max: int, cap: int | None = None) -> list[TableRow]:
+def prop_bound_table(p_max: int) -> list[TableRow]:
     """Both bounds for every lens space with 2 <= p <= p_max.
 
     One row per homeomorphism class, keyed by the representative with the
-    smallest q; rows are ordered by (p, q).  `cap` bounds the twisted
-    search only.
+    smallest q; rows are ordered by (p, q).
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
@@ -198,5 +195,5 @@ def prop_bound_table(p_max: int, cap: int | None = None) -> list[TableRow]:
             lens = LensSpace(p, q)
             if min(r.q for r in equivalent_reps(lens)) != q:
                 continue
-            rows.append(TableRow(lens, twisted_bound(lens, cap), untwisted_bound(lens)))
+            rows.append(TableRow(lens, twisted_bound(lens), untwisted_bound(lens)))
     return rows

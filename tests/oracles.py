@@ -79,6 +79,24 @@ def naive_distance(a, b, cap, even=False):
     return naive_distances(a, cap, even).get(b)
 
 
+def longitude_distance(p, q):
+    """The Farey distance from 1/0 to the reduced slope p/q >= 0, with no
+    graph search: the separation recurrence d(x) = 1 + min(d(L), d(R))
+    over the mediant parents L, R of x, from d(1/0) = 0 and d(0/1) = 1.
+    A Stern-Brocot descent towards p/q carries the distances of the two
+    ends of its current interval."""
+    if (p, q) == (1, 0):
+        return 0
+    left, right = (0, 1, 1), (1, 0, 0)  # (p, q, d) of each end
+    while left[:2] != (p, q):
+        mid = (left[0] + right[0], left[1] + right[1], 1 + min(left[2], right[2]))
+        if p * mid[1] < mid[0] * q:
+            right = mid
+        else:
+            left = mid
+    return left[2]
+
+
 def cofactor_det(rows):
     """Determinant by Laplace expansion along the first row."""
     n = len(rows)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from spinebound import farey
 from spinebound.cli import _blue_line_elements, _blue_lines, main
 
 
@@ -44,10 +45,28 @@ class TestDist:
         walk = " ".join(["1/0"] + [f"{k + 1}/{k}" for k in range(1, 81)])
         assert out.splitlines() == [f"80 : {walk}", "exactness: exact"]
 
-    def test_even_refuses_cap(self, capsys):
-        code, out, err = run(capsys, "dist", "--even", "0/1", "5/4", "--cap", "64")
-        assert code == 1 and out == ""
-        assert err == "error: --even takes no --cap\n"
+    @pytest.mark.parametrize(
+        "a, b, first",
+        [
+            ("-5/2", "9/4", "4 : -5/2 -3/1 1/0 2/1 9/4"),
+            ("9/4", "-5/2", "4 : 9/4 2/1 1/0 -3/1 -5/2"),
+            ("-1/0", "0/1", "1 : 1/0 0/1"),
+        ],
+        ids=["negative-first", "negative-second", "negative-root"],
+    )
+    def test_negative_slope_is_an_argument(self, capsys, a, b, first):
+        code, out, err = run(capsys, "dist", a, b)
+        assert code == 0 and err == ""
+        assert out.splitlines() == [first, "exactness: exact"]
+
+    def test_budget_give_up_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(farey, "_MAX_NODES", 1)
+        code, out, err = run(capsys, "dist", "0/1", "89/55")
+        assert code == 3 and err == ""
+        assert out == (
+            "no path within the search budget; upper bound 6 : "
+            "0/1 1/0 2/1 5/3 13/8 34/21 89/55\n"
+        )
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "dist", "0/0", "1/2")
@@ -87,11 +106,6 @@ class TestLensBounds:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "12002837166dac00183b1b4245f51dad0c18437db610f50573908a5ef374880f"
         )
-
-    def test_cap_below_endpoint(self, capsys):
-        code, out, err = run(capsys, "lens-bounds", "7", "2", "--cap", "3")
-        assert code == 1 and out == ""
-        assert err.startswith("error: cap 3 is below")
 
 
 class TestBuild:
@@ -154,8 +168,8 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "extra, named",
-        [(["7", "2"], "p q"), (["--mode", "any"], "--mode"), (["--cap", "3"], "--cap")],
-        ids=["p-q", "mode", "cap"],
+        [(["7", "2"], "p q"), (["--mode", "any"], "--mode")],
+        ids=["p-q", "mode"],
     )
     def test_path_file_refuses_lens_arguments(self, capsys, tmp_path, extra, named):
         walk = {"mode": "dual", "systems": [[{"p": 0, "q": 1}], [{"p": 1, "q": 0}]]}
@@ -169,19 +183,6 @@ class TestBuild:
     def test_invalid_lens(self, capsys):
         code, _, err = run(capsys, "build", "4", "2")
         assert code == 1
-
-    def test_even_mode_refuses_cap(self, capsys, tmp_path):
-        out_file = tmp_path / "d.json"
-        argv = ["build", "7", "2", "--mode", "even", "--cap", "64", "--out", str(out_file)]
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == "" and not out_file.exists()
-        assert err == "error: --mode even takes no --cap\n"
-
-    def test_cap_below_endpoint(self, capsys, tmp_path):
-        out_file = tmp_path / "d.json"
-        code, _, err = run(capsys, "build", "7", "2", "--cap", "3", "--out", str(out_file))
-        assert code == 1 and not out_file.exists()
-        assert err.startswith("error: cap 3 is below")
 
 
 class TestTable:
@@ -217,10 +218,26 @@ class TestTable:
             "9aabeff7262fef10b4bccbdfdeaedbd49bd6ba7b02b8504e3f44f344538d0edf"
         )
 
-    def test_cap_below_endpoint(self, capsys):
-        code, out, err = run(capsys, "table", "--pmax", "5", "--cap", "1")
-        assert code == 1 and out == ""
-        assert err.startswith("error: cap 1 is below")
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "0/1", "7/2"],
+        ["lens-bounds", "7", "2"],
+        ["build", "7", "2", "--mode", "even"],
+        ["table", "--pmax", "5"],
+    ],
+    ids=["dist", "lens-bounds", "build", "table"],
+)
+def test_cap_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    """The search box comes from the endpoints, so no command takes --cap."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--cap", "64"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 1 and out == ""
+    assert err.endswith("error: unrecognized arguments: --cap 64\n")
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
 
 
 class TestRenderAndVerify:

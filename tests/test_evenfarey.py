@@ -117,7 +117,7 @@ class TestEvenDistance:
             a = Slope(*rng.choice(evens))
             b = Slope(*rng.choice(evens))
             de, _ = even_distance(a, b)
-            df, _ = farey_distance(a, b, 64)
+            df, _ = farey_distance(a, b)
             assert de >= df
 
     def test_matches_naive_even_bfs(self):

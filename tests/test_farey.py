@@ -193,23 +193,19 @@ class TestCommonNeighbors:
 
 class TestDistance:
     def test_identity(self):
-        d, path = farey_distance(S("0/1"), S("0/1"), 8)
+        d, path = farey_distance(S("0/1"), S("0/1"))
         assert d == 0 and path.vertices == (MERIDIAN,)
 
     def test_paper_walk(self):
-        d, path = farey_distance(S("0/1"), S("7/2"), 32)
+        d, path = farey_distance(S("0/1"), S("7/2"))
         assert d == 3
         assert [str(v) for v in path.vertices] == ["0/1", "1/0", "3/1", "7/2"]
 
     def test_integer_slopes_via_longitude(self):
         for n in range(2, 9):
-            d, path = farey_distance(S("0/1"), Slope(n, 1), max(8, n))
+            d, path = farey_distance(S("0/1"), Slope(n, 1))
             assert d == 2
             assert path.vertices == (MERIDIAN, LONGITUDE, Slope(n, 1))
-
-    def test_cap_below_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            farey_distance(S("0/1"), S("7/2"), 3)
 
     def test_matches_naive_bfs(self):
         rng = random.Random(5)
@@ -218,40 +214,43 @@ class TestDistance:
         for _ in range(30):
             a = Slope(*rng.choice(verts))
             b = Slope(*rng.choice(verts))
-            d, path = farey_distance(a, b, cap)
+            d, path = farey_distance(a, b)
             assert d == oracles.naive_distance((a.p, a.q), (b.p, b.q), cap)
             assert path.edges == d
             assert path.vertices[0] == a and path.vertices[-1] == b
 
-    def test_monotone_nonincreasing_in_cap(self):
-        pairs = [(S("0/1"), S("7/2")), (S("3/1"), S("8/5")), (S("-5/2"), S("9/4"))]
-        for a, b in pairs:
-            last = None
-            for cap in (16, 32, 64):
-                d, _ = farey_distance(a, b, cap)
-                if last is not None:
-                    assert d <= last
-                last = d
+    def test_every_small_pair_against_naive_bfs(self):
+        """Every ordered pair with |p|, q <= 8 against the scanned graph at
+        cap 16 = 2 * 8, whose distances are the whole graph's on these
+        pairs: the distance matches, the walk joins the endpoints in that
+        many edges, and every vertex lies in the endpoint box."""
+        verts = oracles.all_slopes(8)
+        for a in verts:
+            naive = oracles.naive_distances(a, 16)
+            for b in verts:
+                d, path = farey_distance(Slope(*a), Slope(*b))
+                assert d == naive[b] == path.edges, (a, b)
+                assert path.vertices[0] == Slope(*a) and path.vertices[-1] == Slope(*b)
+                box = max(abs(a[0]), a[1], abs(b[0]), b[1])
+                assert all(abs(v.p) <= box and v.q <= box for v in path.vertices), (a, b)
 
     def test_triangle_inequality_sampled(self):
-        # slopes small enough that every distance-2 witness fits in cap,
-        # making the reported distance the true capped-graph metric
+        # every distance is exact for the whole graph, so it is a metric
         rng = random.Random(6)
-        cap = 64
         verts = oracles.all_slopes(7)
         for _ in range(25):
             a, b, c = (Slope(*rng.choice(verts)) for _ in range(3))
             if len({a, b, c}) < 3:
                 continue
-            dab, _ = farey_distance(a, b, cap)
-            dbc, _ = farey_distance(b, c, cap)
-            dac, _ = farey_distance(a, c, cap)
+            dab, _ = farey_distance(a, b)
+            dbc, _ = farey_distance(b, c)
+            dac, _ = farey_distance(a, c)
             assert dac <= dab + dbc
 
     def test_budget_exhaustion_carries_witness(self, monkeypatch):
         monkeypatch.setattr(farey, "_MAX_NODES", 1)
         with pytest.raises(NoPathWithinCap) as info:
-            farey_distance(S("0/1"), S("89/55"), 712)
+            farey_distance(S("0/1"), S("89/55"))
         exc = info.value
         assert exc.path.vertices[0] == S("0/1")
         assert exc.path.vertices[-1] == S("89/55")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from spinebound import (
     Exactness,
     LONGITUDE,
@@ -93,6 +94,23 @@ class TestTwistedBound:
         res = twisted_bound(LensSpace(19, 18))
         assert res.n == 1
         assert res.representative == LensSpace(19, 1)
+
+    def test_separation_recurrence_for_every_lens_space_to_150(self):
+        """n is the shortest Farey distance from 1/0 over the
+        representatives, by the oracle's parent recurrence, and every
+        answer is certified.  One member per class covers every lens
+        space with p <= 150."""
+        for p in range(2, 151):
+            done = set()
+            for q in range(1, p):
+                if math.gcd(p, q) != 1 or q in done:
+                    continue
+                reps = equivalent_reps(LensSpace(p, q))
+                done.update(r.q for r in reps)
+                res = twisted_bound(LensSpace(p, q))
+                assert res.n == min(oracles.longitude_distance(r.p, r.q) for r in reps), (p, q)
+                assert res.path.vertices[-1] == Slope(res.representative.p, res.representative.q)
+                assert res.exactness is Exactness.CERTIFIED
 
 
 class TestUntwistedBound:
