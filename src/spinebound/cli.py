@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -314,7 +315,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` finds each command's
+    `cmd_*` function by name when it runs it."""
     parser = _Parser(prog="spinebound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -322,12 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("a", help="slope, e.g. 0/1")
     p_dist.add_argument("b", help="slope, e.g. 7/2")
     p_dist.add_argument("--even", action="store_true", help="restrict to the even graph")
-    p_dist.set_defaults(func=cmd_dist)
 
     p_lb = sub.add_parser("lens-bounds", help="summand bounds for L(p, q)")
     p_lb.add_argument("p", type=int)
     p_lb.add_argument("q", type=int)
-    p_lb.set_defaults(func=cmd_lens_bounds)
 
     p_build = sub.add_parser("build", help="build a diagram JSON file")
     p_build.add_argument("p", type=int, nargs="?")
@@ -335,21 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--path-file", default=None, help="JSON walk instead of a lens space")
     p_build.add_argument("--mode", choices=("any", "even"), default=None)
     p_build.add_argument("--out", default="diagram.json")
-    p_build.set_defaults(func=cmd_build)
 
     p_table = sub.add_parser("table", help="CSV of bounds for all p <= pmax")
     p_table.add_argument("--pmax", type=int, required=True)
     p_table.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p_table.set_defaults(func=cmd_table)
 
     p_render = sub.add_parser("render", help="render a genus-1 diagram JSON as SVG")
     p_render.add_argument("input", help="diagram JSON path")
     p_render.add_argument("output", help="SVG path")
-    p_render.set_defaults(func=cmd_render)
 
     p_verify = sub.add_parser("verify", help="recompute and check a diagram JSON")
     p_verify.add_argument("input", help="diagram JSON path")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -738,9 +736,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

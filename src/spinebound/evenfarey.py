@@ -36,6 +36,9 @@ to even slopes and the even graph onto itself.  Hence d(a, b) =
 d(1/0, g(b)), and g^-1 carries a shortest walk from 1/0 to g(b) onto
 one from a to b.  See Short & Walker, *Even-integer continued fractions
 and the Farey tree* (2016).
+
+The even trace and the map g^-1 both run on plain (p, q) integer pairs,
+and each vertex of the walk becomes a slope once.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from .farey import (
     PathKind,
     Slope,
     SlopePath,
-    canonical,
-    farey_parents,
+    _canon_pair,
+    _pair_trace,
+    _parent_pairs,
     is_even_vertex,
     parent_trace,
 )
@@ -66,11 +70,19 @@ def even_parent(s: Slope) -> Slope:
         raise DomainError(f"{s} is negative; reflect before tracing")
     if s in (MERIDIAN, LONGITUDE):
         raise DomainError(f"{s} is a root of the even Farey graph")
-    first, second = farey_parents(s)
-    first_even, second_even = is_even_vertex(first), is_even_vertex(second)
-    if first_even == second_even:
+    return Slope(*_even_step(s.p, s.q))
+
+
+def _even_step(p: int, q: int) -> tuple[int, int]:
+    """`even_parent` on integer pairs, the step of an even trace."""
+    first, second = _parent_pairs(p, q)
+    first_even = not (first[0] & first[1] & 1)
+    if first_even == (not (second[0] & second[1] & 1)):
         # One odd vertex per Farey triangle makes this impossible.
-        raise RuntimeError(f"parity structure violated at {s}: parents {first}, {second}")
+        raise RuntimeError(
+            f"parity structure violated at {p}/{q}: parents "
+            f"{first[0]}/{first[1]}, {second[0]}/{second[1]}"
+        )
     return first if first_even else second
 
 
@@ -86,17 +98,7 @@ def even_trace(s: Slope) -> SlopePath:
         raise DomainError(f"{s} is odd; it has no even trace")
     if s.p < 0:
         raise DomainError(f"{s} is negative; reflect before tracing")
-    return SlopePath(tuple(parent_trace(s, even_parent)), PathKind.EVEN_FAREY)
-
-
-def _walk_from_longitude(s: Slope) -> list[Slope]:
-    """A shortest even walk from 1/0 to the even slope s != 1/0.
-
-    The reversed even trace of s, cut at 1/0 when it passes there and
-    else started 1/0, 0/1, ...; the module docstring proves it shortest.
-    """
-    walk = parent_trace(s, even_parent)[::-1]  # from 0/1
-    return walk[1:] if walk[1:2] == [LONGITUDE] else [LONGITUDE] + walk
+    return SlopePath(tuple(parent_trace(s, _even_step)), PathKind.EVEN_FAREY)
 
 
 def even_distance(a: Slope, b: Slope) -> tuple[int, SlopePath]:
@@ -117,10 +119,17 @@ def even_distance(a: Slope, b: Slope) -> tuple[int, SlopePath]:
     y = (1 - x * p) // q if q else 0
     k = (y if p % 2 else x) % 2
     gp, gq = x - k * q, y + k * p  # first row of g; its second row is (-q, p)
-    walk = _walk_from_longitude(canonical(gp * b.p + gq * b.q, p * b.q - q * b.p))
-    # g^-1 = [[p, -gq], [q, gp]] carries the walk from 1/0 to one from a
-    vertices = tuple(canonical(p * s.p - gq * s.q, q * s.p + gp * s.q) for s in walk)
-    path = SlopePath(vertices, PathKind.EVEN_FAREY)
+    # The even trace of g(b) from 0/1, cut at 1/0 when it passes there and
+    # else started 1/0, 0/1, ...; the module docstring proves it shortest.
+    walk = _pair_trace(*_canon_pair(gp * b.p + gq * b.q, p * b.q - q * b.p), _even_step)[::-1]
+    walk = walk[1:] if walk[1:2] == [(1, 0)] else [(1, 0)] + walk
+    # g^-1 = [[p, -gq], [q, gp]] carries the walk from 1/0 to one from a;
+    # g^-1 is unimodular, so each image is primitive and only its sign is fixed
+    vertices = []
+    for r, t in walk:
+        u, v = p * r - gq * t, q * r + gp * t
+        vertices.append(Slope(-u, -v) if v < 0 or (not v and u < 0) else Slope(u, v))
+    path = SlopePath(tuple(vertices), PathKind.EVEN_FAREY)
     return path.edges, path
 
 
@@ -134,18 +143,18 @@ def iteration_index(s: Slope) -> int:
     """
     if s.p < 0:
         raise DomainError(f"{s} is negative; depth is defined on the nonnegative fan")
-    memo: dict[Slope, int] = {MERIDIAN: 0, LONGITUDE: 0}
-    stack = [s]
+    memo: dict[tuple[int, int], int] = {(0, 1): 0, (1, 0): 0}
+    stack = [(s.p, s.q)]
     while stack:
         v = stack[-1]
         if v in memo:
             stack.pop()
             continue
-        parents = farey_parents(v)
+        parents = _parent_pairs(*v)
         missing = [w for w in parents if w not in memo]
         if missing:
             stack.extend(missing)
         else:
             memo[v] = 1 + max(memo[parents[0]], memo[parents[1]])
             stack.pop()
-    return memo[s]
+    return memo[s.p, s.q]

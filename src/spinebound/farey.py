@@ -26,6 +26,10 @@ returns is exact for the whole graph:
 - Box.  The parents of p/q have numerators of size at most |p| and
   denominators at most q, so every ancestor of a or b lies in the box.
 
+Mediant parents come from one integer step, `_parent_pairs`, on plain
+(p, q) pairs.  Parent traces (`parent_trace`) walk those pairs down to a
+root and build each slope of the walk once, at the end.
+
 The search serves the full graph only: even distances have a closed
 form, in :mod:`spinebound.evenfarey`.  A node budget, `_MAX_NODES`, still
 bounds the work on large inputs.  All arithmetic is plain Python integer
@@ -171,6 +175,17 @@ class SlopePath:
         return " ".join(str(v) for v in self.vertices)
 
 
+def _parent_pairs(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The mediant parents of the nonnegative non-root slope p/q, as integer
+    pairs ordered by (denominator, numerator)."""
+    # b1 in [1, q] with b1 == p^-1 (mod q); then a1*q - b1*p = -1.
+    b1 = pow(p, -1, q) or q
+    a1 = (b1 * p - 1) // q
+    if (b1, a1) < (q - b1, p - a1):
+        return (a1, b1), (p - a1, q - b1)
+    return (p - a1, q - b1), (a1, b1)
+
+
 def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     """Mediant decomposition of a nonnegative slope.
 
@@ -183,12 +198,8 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
         raise DomainError(f"{s} is negative; reflect before taking parents")
     if s in (MERIDIAN, LONGITUDE):
         raise DomainError(f"{s} is a root of the mediant tree and has no parents")
-    p, q = s.p, s.q
-    # b1 in [1, q] with b1 == p^-1 (mod q); then a1*q - b1*p = -1.
-    b1 = pow(p, -1, q) or q
-    a1 = (b1 * p - 1) // q
-    pair = sorted((Slope(a1, b1), Slope(p - a1, q - b1)), key=lambda t: (t.q, t.p))
-    return pair[0], pair[1]
+    first, second = _parent_pairs(s.p, s.q)
+    return Slope(*first), Slope(*second)
 
 
 def _neighbor_tuples(v: tuple[int, int], box: int) -> list[tuple[int, int]]:
@@ -285,26 +296,41 @@ def mediant_parent(s: Slope) -> Slope:
     return second if first == MERIDIAN else first
 
 
-def parent_trace(s: Slope, parent: Callable[[Slope], Slope]) -> list[Slope]:
-    """Walk `parent` from s down to a root, ending at 0/1.
+def _mediant_step(p: int, q: int) -> tuple[int, int]:
+    """`mediant_parent` on integer pairs, the step of a mediant trace."""
+    first, second = _parent_pairs(p, q)
+    return second if first == (0, 1) else first
 
-    When the walk bottoms out at 1/0 the final 1/0 -- 0/1 edge is
+
+def _pair_trace(
+    p: int, q: int, step: Callable[[int, int], tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The trace of the canonical pair (p, q) as integer pairs; see `parent_trace`."""
+    if p < 0:  # reflect; 1/0 is its own reflection
+        return [(-a if b else a, b) for a, b in _pair_trace(-p, q, step)]
+    out = [(p, q)]
+    while p and q:  # the roots 0/1 and 1/0 are the nonnegative pairs with a zero
+        p, q = step(p, q)
+        out.append((p, q))
+    if not q:
+        out.append((0, 1))
+    return out
+
+
+def parent_trace(s: Slope, step: Callable[[int, int], tuple[int, int]]) -> list[Slope]:
+    """Walk the integer parent `step` from s down to a root, ending at 0/1.
+
+    The walk steps on plain (p, q) pairs and builds each slope once, at
+    the end.  When it bottoms out at 1/0 the final 1/0 -- 0/1 edge is
     appended.  Negative slopes are handled by reflection, which is a
     graph automorphism fixing both roots.
     """
-    if s.p < 0:
-        return [canonical(-v.p, v.q) for v in parent_trace(canonical(-s.p, s.q), parent)]
-    out = [s]
-    while out[-1] not in (MERIDIAN, LONGITUDE):
-        out.append(parent(out[-1]))
-    if out[-1] == LONGITUDE:
-        out.append(MERIDIAN)
-    return out
+    return [Slope(p, q) for p, q in _pair_trace(s.p, s.q, step)]
 
 
 def _fallback_walk(a: Slope, b: Slope) -> SlopePath:
     """A valid a-to-b walk through 0/1 built from the mediant traces of both ends."""
-    walk = parent_trace(a, mediant_parent) + parent_trace(b, mediant_parent)[::-1][1:]
+    walk = parent_trace(a, _mediant_step) + parent_trace(b, _mediant_step)[::-1][1:]
     return SlopePath(tuple(_splice(walk)))
 
 

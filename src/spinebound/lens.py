@@ -9,7 +9,9 @@ bound minimizes over all homeomorphism representatives in the full graph,
 by a search that is exact for the whole graph unless it passes its node
 budget.  The untwisted bound does the same in the even subgraph, where
 every summand split off is S2 x S2; its distances have a closed form,
-exact for the whole even graph.
+exact for the whole even graph.  Parent traces step on integer pairs,
+and the bound table picks each class's smallest q from the integers q,
+p - q, q^-1 and p - q^-1 (mod p), with no `LensSpace` per representative.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .farey import (
     NoPathWithinCap,
     Slope,
     SlopePath,
+    _mediant_step,
     farey_distance,
     is_even_vertex,
-    mediant_parent,
     parent_trace,
 )
 
@@ -110,7 +112,7 @@ def _mediant_tail(target: Slope) -> SlopePath:
     mediant ancestor of such a slope again has numerator >= denominator,
     so the trace bottoms out at 1/0.
     """
-    trace = parent_trace(target, mediant_parent)
+    trace = parent_trace(target, _mediant_step)
     if trace[-2] != LONGITUDE:
         raise RuntimeError(f"trace of {target} does not route through 1/0")
     return SlopePath(tuple(reversed(trace[:-1])))
@@ -192,8 +194,9 @@ def prop_bound_table(p_max: int) -> list[TableRow]:
         for q in range(1, p):
             if math.gcd(p, q) != 1:
                 continue
-            lens = LensSpace(p, q)
-            if min(r.q for r in equivalent_reps(lens)) != q:
+            qinv = pow(q, -1, p)
+            if q != min(q, p - q, qinv, p - qinv):  # the classes of `equivalent_reps`
                 continue
+            lens = LensSpace(p, q)
             rows.append(TableRow(lens, twisted_bound(lens), untwisted_bound(lens)))
     return rows

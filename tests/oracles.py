@@ -12,6 +12,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+from spinebound.farey import LONGITUDE, MERIDIAN, canonical, farey_parents, is_even_vertex
+
 
 def all_slopes(cap):
     """Every canonical slope with |p| <= cap and q <= cap, by full scan."""
@@ -95,6 +97,26 @@ def longitude_distance(p, q):
         else:
             left = mid
     return left[2]
+
+
+def slope_trace(s, even=False):
+    """The parent trace of `farey.parent_trace`, one `Slope` at a time: each
+    step takes `farey_parents`, then the parent of even parity (even=True)
+    or the parent other than 0/1.  A trace that ends at 1/0 gets the edge
+    to 0/1, and a negative slope is traced by reflection."""
+    if s.p < 0:
+        return [canonical(-v.p, v.q) for v in slope_trace(canonical(-s.p, s.q), even)]
+    out = [s]
+    while out[-1] not in (MERIDIAN, LONGITUDE):
+        first, second = farey_parents(out[-1])
+        if even:
+            (parent,) = [v for v in (first, second) if is_even_vertex(v)]
+        else:
+            parent = second if first == MERIDIAN else first
+        out.append(parent)
+    if out[-1] == LONGITUDE:
+        out.append(MERIDIAN)
+    return out
 
 
 def cofactor_det(rows):

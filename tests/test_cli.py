@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +244,40 @@ def test_cap_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert info.value.code == 1 and out == ""
     assert err.endswith("error: unrecognized arguments: --cap 64\n")
     assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+def test_a_reused_parser_leaks_no_state(capsys, tmp_path):
+    """`main` builds its parser once per process, so a command run after
+    others must print and exit exactly as it does alone in a new process."""
+    diagram = str(tmp_path / "d.json")
+    assert main(["build", "7", "2", "--out", diagram]) == 0
+    capsys.readouterr()
+    commands = [
+        ["dist", "0/1", "7/2"],
+        ["lens-bounds", "7"],  # a usage error: q is missing
+        ["lens-bounds", "19", "7"],
+        ["verify", diagram],
+    ]
+    in_turn = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        in_turn.append((out.getvalue(), err.getvalue(), code))
+    src = Path(farey.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    alone = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "spinebound.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        alone.append((done.stdout, done.stderr, done.returncode))
+    assert in_turn == alone
+    assert [code for _, _, code in alone] == [0, 1, 0, 0]
 
 
 class TestRenderAndVerify:

@@ -21,6 +21,7 @@ from spinebound import (
     is_even_vertex,
     iteration_index,
 )
+from spinebound import evenfarey, farey
 
 
 def S(text):
@@ -208,3 +209,15 @@ class TestIterationIndex:
             s = Slope(*rng.choice(evens))
             d, _ = even_distance(MERIDIAN, s)
             assert iteration_index(s) >= d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(-5000, 5000), st.integers(0, 5000), st.booleans())
+def test_integer_trace_matches_the_slope_reference(p, q, even):
+    """`parent_trace` steps on integer pairs; each of its two steps must give
+    the trace that `farey_parents` and the parity rule give slope by slope."""
+    assume((p, q) != (0, 0))
+    s = canonical(p, q)
+    assume(not even or is_even_vertex(s))
+    step = evenfarey._even_step if even else farey._mediant_step
+    assert farey.parent_trace(s, step) == oracles.slope_trace(s, even)

@@ -203,6 +203,15 @@ class TestBoundTable:
             seen.add(reps)
             assert row.lens.q == min(r.q for r in reps)
 
+    def test_rows_are_the_classes_keyed_by_smallest_q(self):
+        classes = {
+            (p, min(r.q for r in equivalent_reps(LensSpace(p, q))))
+            for p in range(2, 151)
+            for q in range(1, p)
+            if math.gcd(p, q) == 1
+        }
+        assert [(r.lens.p, r.lens.q) for r in prop_bound_table(150)] == sorted(classes)
+
     def test_untwisted_below_p(self):
         for row in prop_bound_table(12):
             assert row.untwisted.n <= row.lens.p - 1
