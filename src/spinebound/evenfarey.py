@@ -51,8 +51,10 @@ from .farey import (
     Slope,
     SlopePath,
     _canon_pair,
+    _is_even_pair,
     _pair_trace,
     _parent_pairs,
+    _sign_pair,
     is_even_vertex,
     parent_trace,
 )
@@ -76,8 +78,8 @@ def even_parent(s: Slope) -> Slope:
 def _even_step(p: int, q: int) -> tuple[int, int]:
     """`even_parent` on integer pairs, the step of an even trace."""
     first, second = _parent_pairs(p, q)
-    first_even = not (first[0] & first[1] & 1)
-    if first_even == (not (second[0] & second[1] & 1)):
+    first_even = _is_even_pair(*first)
+    if first_even == _is_even_pair(*second):
         # One odd vertex per Farey triangle makes this impossible.
         raise RuntimeError(
             f"parity structure violated at {p}/{q}: parents "
@@ -125,11 +127,8 @@ def even_distance(a: Slope, b: Slope) -> tuple[int, SlopePath]:
     walk = walk[1:] if walk[1:2] == [(1, 0)] else [(1, 0)] + walk
     # g^-1 = [[p, -gq], [q, gp]] carries the walk from 1/0 to one from a;
     # g^-1 is unimodular, so each image is primitive and only its sign is fixed
-    vertices = []
-    for r, t in walk:
-        u, v = p * r - gq * t, q * r + gp * t
-        vertices.append(Slope(-u, -v) if v < 0 or (not v and u < 0) else Slope(u, v))
-    path = SlopePath(tuple(vertices), PathKind.EVEN_FAREY)
+    vertices = tuple(Slope(*_sign_pair(p * r - gq * t, q * r + gp * t)) for r, t in walk)
+    path = SlopePath(vertices, PathKind.EVEN_FAREY)
     return path.edges, path
 
 

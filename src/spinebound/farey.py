@@ -125,8 +125,11 @@ def canonical(p: int, q: int) -> Slope:
 
 def _canon_pair(p: int, q: int) -> tuple[int, int]:
     g = math.gcd(p, q)
-    p //= g
-    q //= g
+    return _sign_pair(p // g, q // g)
+
+
+def _sign_pair(p: int, q: int) -> tuple[int, int]:
+    """The sign-normalized form of a primitive pair: q > 0, or p/q = 1/0."""
     if q < 0 or (q == 0 and p < 0):
         return -p, -q
     return p, q
@@ -139,7 +142,12 @@ def farey_det(a: Slope, b: Slope) -> int:
 
 def is_even_vertex(s: Slope) -> bool:
     """True when p*q is even, i.e. the curve's surface framing is even."""
-    return (s.p * s.q) % 2 == 0
+    return _is_even_pair(s.p, s.q)
+
+
+def _is_even_pair(p: int, q: int) -> bool:
+    """`is_even_vertex` on an integer pair."""
+    return not (p & q & 1)
 
 
 class PathKind(str, Enum):
@@ -289,15 +297,9 @@ def _splice(vertices: list[Slope]) -> list[Slope]:
     return out
 
 
-def mediant_parent(s: Slope) -> Slope:
-    """The mediant parent a trace steps to: the one different from 0/1,
-    so the trace reaches 1/0 first whenever it can."""
-    first, second = farey_parents(s)
-    return second if first == MERIDIAN else first
-
-
 def _mediant_step(p: int, q: int) -> tuple[int, int]:
-    """`mediant_parent` on integer pairs, the step of a mediant trace."""
+    """The step of a mediant trace: the parent of the pair (p, q) other
+    than 0/1, so the trace reaches 1/0 first whenever it can."""
     first, second = _parent_pairs(p, q)
     return second if first == (0, 1) else first
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 # even_trace is not called here; it stays importable as lens.even_trace,
 # which perfbench/spans.py wraps next to the two distance engines.
@@ -100,9 +100,13 @@ def normalize(p: int, q: int) -> LensSpace:
 
 def equivalent_reps(lens: LensSpace) -> frozenset[LensSpace]:
     """All unoriented homeomorphism representatives {+-q^{+-1} mod p}."""
-    p, q = lens.p, lens.q
+    return frozenset(LensSpace(lens.p, r) for r in _rep_qs(lens.p, lens.q))
+
+
+def _rep_qs(p: int, q: int) -> tuple[int, int, int, int]:
+    """The q values of the representatives of L(p, q): q, -q, q^-1, -q^-1 mod p."""
     qinv = pow(q, -1, p)
-    return frozenset(LensSpace(p, r) for r in (q, p - q, qinv, p - qinv))
+    return q, p - q, qinv, p - qinv
 
 
 def _mediant_tail(target: Slope) -> SlopePath:
@@ -189,14 +193,13 @@ def prop_bound_table(p_max: int) -> list[TableRow]:
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
-    rows = []
+    return [TableRow(lens, twisted_bound(lens), untwisted_bound(lens)) for lens in _class_reps(p_max)]
+
+
+def _class_reps(p_max: int) -> Iterator[LensSpace]:
+    """The representative with the smallest q of every class with
+    2 <= p <= p_max, in (p, q) order."""
     for p in range(2, p_max + 1):
         for q in range(1, p):
-            if math.gcd(p, q) != 1:
-                continue
-            qinv = pow(q, -1, p)
-            if q != min(q, p - q, qinv, p - qinv):  # the classes of `equivalent_reps`
-                continue
-            lens = LensSpace(p, q)
-            rows.append(TableRow(lens, twisted_bound(lens), untwisted_bound(lens)))
-    return rows
+            if math.gcd(p, q) == 1 and q == min(_rep_qs(p, q)):
+                yield LensSpace(p, q)

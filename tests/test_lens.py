@@ -19,6 +19,7 @@ from spinebound import (
     twisted_bound,
     untwisted_bound,
 )
+from spinebound.lens import _class_reps
 
 
 class TestNormalize:
@@ -195,22 +196,18 @@ class TestBoundTable:
         assert rows[(5, 1)].twisted.n == 1
 
     def test_one_row_per_class(self):
-        rows = prop_bound_table(12)
-        seen = set()
-        for row in rows:
-            reps = frozenset(equivalent_reps(row.lens))
-            assert reps not in seen
-            seen.add(reps)
-            assert row.lens.q == min(r.q for r in reps)
+        def classes(p_max):  # brute force: the smallest q of each `equivalent_reps` class
+            return sorted(
+                {
+                    (p, min(r.q for r in equivalent_reps(LensSpace(p, q))))
+                    for p in range(2, p_max + 1)
+                    for q in range(1, p)
+                    if math.gcd(p, q) == 1
+                }
+            )
 
-    def test_rows_are_the_classes_keyed_by_smallest_q(self):
-        classes = {
-            (p, min(r.q for r in equivalent_reps(LensSpace(p, q))))
-            for p in range(2, 151)
-            for q in range(1, p)
-            if math.gcd(p, q) == 1
-        }
-        assert [(r.lens.p, r.lens.q) for r in prop_bound_table(150)] == sorted(classes)
+        assert [(r.lens.p, r.lens.q) for r in prop_bound_table(12)] == classes(12)
+        assert [(l.p, l.q) for l in _class_reps(150)] == classes(150)
 
     def test_untwisted_below_p(self):
         for row in prop_bound_table(12):
