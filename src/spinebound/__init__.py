@@ -41,7 +41,6 @@ from .construct import (
     BlueCurve,
     ConnectSum,
     CutSystem,
-    DiagramStats,
     DualPath,
     FramedLink,
     KirbyCurve,
@@ -53,7 +52,6 @@ from .construct import (
     blue_layer_path,
     build_diagram,
     classify,
-    diagram_stats,
     kirby_link,
     path_from_lens,
     path_product,

@@ -187,7 +187,6 @@ def _diagram_doc(
     diagram: construct.TrisectionDiagram,
     link: construct.FramedLink,
     csum: construct.ConnectSum,
-    stats: construct.DiagramStats,
 ) -> dict:
     return {
         "version": _DIAGRAM_VERSION,
@@ -229,9 +228,10 @@ def _diagram_doc(
             "normal_form": csum.normal_form,
         },
         "stats": {
-            "total_genus": stats.total_genus,
-            "ball_count": stats.ball_count,
-            "minimal": stats.minimal,
+            "total_genus": diagram.total_genus,
+            "ball_count": diagram.ball_count,
+            # Minimal genus exactly when no coordinate step past D_1 is parallel.
+            "minimal": diagram.total_genus == 2 * csum.total,
         },
     }
 
@@ -441,12 +441,11 @@ def cmd_build(args) -> int:
     diagram = construct.build_diagram(path)
     link = construct.kirby_link(path)
     csum = construct.classify(path)
-    stats = construct.diagram_stats(diagram, csum)
     try:
-        Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum, stats)))
+        Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum)))
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    print(f"genus {stats.total_genus} {csum.normal_form}")
+    print(f"genus {diagram.total_genus} {csum.normal_form}")
     return _EXIT_OK
 
 
@@ -717,8 +716,7 @@ def cmd_verify(args) -> int:
         diagram = construct.build_diagram(path)
         link = construct.kirby_link(path)
         csum = construct.classify(path)
-        stats = construct.diagram_stats(diagram, csum)
-        expected = _diagram_doc(diagram, link, csum, stats)
+        expected = _diagram_doc(diagram, link, csum)
         problems.extend(f"unknown key {json.dumps(k)}" for k in doc if k not in expected)
         for key, want in expected.items():
             difference = _difference(key, doc.get(key, _MISSING), want)

@@ -249,7 +249,9 @@ class TrisectionDiagram:
     i = k + 2 ascending to m, then descending back down to 1; layers with
     even path index are flagged reflected.  Red curves are g longitudes
     on the leftmost copy plus g bridges per gap; green are g meridians on
-    the rightmost copy plus g bridges per gap.
+    the rightmost copy plus g bridges per gap.  For a walk of m systems of
+    genus g, ``total_genus`` is 2g(m - 1) and ``ball_count`` is m - 1 for
+    genus 1 and ``None`` otherwise.
     """
 
     genus_per_copy: int
@@ -400,39 +402,3 @@ def classify(path: DualPath) -> ConnectSum:
         raise ValueError("walk has no dual steps past D_1; empty connect sum")
     return ConnectSum(a, b)
 
-
-@dataclass(frozen=True)
-class DiagramStats:
-    total_genus: int
-    summand_count: int
-    minimal: bool
-    ball_count: int | None
-    trisection_params: tuple[int, tuple[int, int, int]] | None
-    euler_characteristic: int
-
-
-def diagram_stats(diagram: TrisectionDiagram, csum: ConnectSum) -> DiagramStats:
-    """Genus/summand bookkeeping for a diagram and its classification.
-
-    The trisection has minimal genus exactly when the walk used no
-    parallel steps, i.e. total genus equals twice the summand count; in
-    that case the trisection parameters are (2n; 0, 0, 0) and the Euler
-    characteristic 2 + 2n cross-checks 2 + genus - sum(k_i).
-    """
-    if classify(diagram.path) != csum:
-        raise ValueError("classification does not match the diagram's walk")
-    n = csum.total
-    minimal = diagram.total_genus == 2 * n
-    euler = 2 + 2 * n
-    params = None
-    if minimal:
-        params = (diagram.total_genus, (0, 0, 0))
-        assert 2 + diagram.total_genus == euler
-    return DiagramStats(
-        total_genus=diagram.total_genus,
-        summand_count=n,
-        minimal=minimal,
-        ball_count=diagram.ball_count,
-        trisection_params=params,
-        euler_characteristic=euler,
-    )

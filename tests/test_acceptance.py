@@ -21,7 +21,6 @@ from spinebound import (
     canonical,
     classify,
     consistency_check,
-    diagram_stats,
     equivalent_reps,
     even_distance,
     even_trace,
@@ -56,10 +55,9 @@ def test_c1_l72_pipeline():
     assert [c.framing for c in link.curves] == [0, 3, 14, 3]
     diagram = build_diagram(path)
     csum = classify(path)
-    stats = diagram_stats(diagram, csum)
-    assert stats.total_genus == 4
+    assert diagram.total_genus == 4
     assert csum.normal_form == "#2 S2x~S2"
-    assert stats.ball_count == 2
+    assert diagram.ball_count == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"pipeline took {elapsed:.2f}s"
     report("C1", f"L(7,2) pipeline exact in {elapsed * 1000:.0f}ms")

@@ -1,8 +1,10 @@
-"""The benchmark runs end to end on a short build-verify budget.
+"""The benchmark runs end to end on a short budget, on every workload.
 
-Its round checks every build, verify and render, and its control makes
-`verify` reject a tampered diagram with exit code 2 and a `FAIL ` line,
-so this guards the contract between `verify` and the benchmark.
+Its build-verify round checks every build, verify and render, and its
+control makes `verify` reject a tampered diagram with exit code 2 and a
+`FAIL ` line, so this guards the contract between `verify` and the
+benchmark.  The `table` and `lens-large` runs guard the harness itself,
+for instance its host-speed probe on calls that end fast.
 """
 
 import json
@@ -11,11 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_build_verify_runs_clean():
-    argv = [sys.executable, "perfbench/run.py", "--workload", "build-verify", "--seed", "1"]
+def run_clean(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1"]
     argv += ["--seconds", "0.5", "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
@@ -24,3 +28,12 @@ def test_build_verify_runs_clean():
     assert result["correct"] is True, done.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_build_verify_runs_clean():
+    run_clean("build-verify")
+
+
+@pytest.mark.parametrize("workload", ["table", "lens-large"])
+def test_search_workload_runs_clean(workload):
+    run_clean(workload)

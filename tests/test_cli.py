@@ -312,11 +312,7 @@ class TestRenderAndVerify:
             ],
             sb.PathMode.PARALLEL,
         )
-        diagram = sb.build_diagram(prod)
-        doc = _diagram_doc(
-            diagram, sb.kirby_link(prod), sb.classify(prod),
-            sb.diagram_stats(diagram, sb.classify(prod)),
-        )
+        doc = _diagram_doc(sb.build_diagram(prod), sb.kirby_link(prod), sb.classify(prod))
         g2 = tmp_path / "g2.json"
         g2.write_text(_dump_json(doc))
         code, _, err = run(capsys, "render", str(g2), str(tmp_path / "g2.svg"))
@@ -476,8 +472,10 @@ class TestRenderAndVerify:
                 'classification.normal_form: file says "#2 S2xS2", recomputed "#2 S2x~S2"',
             ),
             ("stats", "total_genus", 5, "stats.total_genus: file says 5, recomputed 4"),
+            ("stats", "ball_count", 3, "stats.ball_count: file says 3, recomputed 2"),
+            ("stats", "minimal", False, "stats.minimal: file says false, recomputed true"),
         ],
-        ids=["classification", "stats"],
+        ids=["classification", "stats", "stats-ball_count", "stats-minimal"],
     )
     def test_verify_names_the_differing_key(self, capsys, diagram_file, key, field, value, message):
         doc = json.loads(diagram_file.read_text())

@@ -1,16 +1,19 @@
 """The CLI is total on malformed documents: replacing any one field of a
 built diagram or of a walk file by an arbitrary JSON value makes `verify`,
 `render` and `build --path-file` end with an exit code in {0, 1, 2, 3},
-never a traceback, and a repeat run gives the same bytes."""
+never a traceback, and a repeat run gives the same bytes.  `main` is also
+total on its argument lists: any mix of command names, flags, slopes, small
+integers and paths ends in an exit code or in argparse's own exit."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinebound.cli import main
 
@@ -118,3 +121,84 @@ def test_unmutated_documents_succeed():
     assert run_twice(lambda doc, svg: ["render", doc, svg], DIAGRAM, "d.svg") == 0
     build = lambda doc, out: ["build", "--path-file", doc, "--out", out]  # noqa: E731
     assert run_twice(build, WALK, "d.json") == 0
+
+
+# Argument lists for `main`: every command and flag, valid and malformed
+# slopes, integers small enough (|x| <= 60) that each run ends at once, and
+# paths to a missing file, a directory, malformed JSON, a valid diagram and
+# a valid walk.
+# This covers argument handling only, not the time or memory of large inputs.
+COMMANDS = ["dist", "lens-bounds", "build", "table", "render", "verify"]
+FLAGS = ["--even", "--path-file", "--mode", "--out", "--pmax", "--help"]
+SLOPES = ["0/1", "1/0", "7/2", "-5/2", "3/-7", "-1/0", "0/0", "1/", "/2", "x/3", "1//2", "1.5"]
+MODES = ["any", "even", "odd"]
+PATHS = ["missing.json", "subdir", "bad.json", "valid.json", "walk.json"]
+SLOPE, MODE, PATH = map(st.sampled_from, (SLOPES, MODES, PATHS))
+INTS = st.integers(-60, 60).map(str)
+# p q: a lens space half the time, else any two integers.
+LENS = st.integers(2, 60).flatmap(
+    lambda p: st.integers(1, p - 1).filter(lambda q: math.gcd(p, q) == 1).map(lambda q: [p, q])
+).map(lambda pq: [str(n) for n in pq]) | st.lists(INTS, min_size=2, max_size=2)
+TOKENS = st.sampled_from(COMMANDS + FLAGS + SLOPES + MODES + PATHS) | INTS
+
+
+def shaped(command, *chunks):
+    """`command` followed by its chunks of arguments in any order; an
+    option chunk may be left out."""
+    return (
+        st.tuples(*chunks)
+        .flatmap(st.permutations)
+        .map(lambda cs: [command] + [token for chunk in cs for token in chunk])
+    )
+
+
+def positional(pool):
+    return pool.map(lambda token: [token])
+
+
+def option(flag, pool=None):
+    chunk = st.just([flag]) if pool is None else positional(pool).map(lambda arg: [flag] + arg)
+    return st.just([]) | chunk
+
+
+ARGVS = st.one_of(
+    shaped("dist", positional(SLOPE), positional(SLOPE), option("--even")),
+    shaped("lens-bounds", LENS),
+    shaped(
+        "build",
+        st.just([]) | LENS,
+        option("--mode", MODE),
+        option("--out", PATH),
+        option("--path-file", PATH),
+    ),
+    shaped("table", option("--pmax", INTS), option("--out", PATH)),
+    shaped("render", positional(PATH), positional(PATH)),
+    shaped("verify", positional(PATH), option("--help")),
+    # Any tokens in any order, for the argument lists no command expects.
+    st.lists(TOKENS, max_size=6),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ARGVS)
+@example(["render", "valid.json", "d.svg"])
+@example(["verify", "valid.json"])
+@example(["build", "--path-file", "walk.json"])
+def test_main_total_on_arguments(argv):
+    # A fresh directory per example: `build` without `--out` writes
+    # diagram.json to the working directory, and any command may overwrite
+    # one of the fixture files.
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "subdir").mkdir()
+        (Path(tmp) / "bad.json").write_text("{not json")
+        (Path(tmp) / "valid.json").write_text(json.dumps(DIAGRAM))
+        (Path(tmp) / "walk.json").write_text(json.dumps(WALK))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.chdir(tmp), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 1), (argv, exc.code)
+            else:
+                assert code in (0, 1, 2, 3), (argv, code)

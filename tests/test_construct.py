@@ -3,7 +3,6 @@ import random
 import pytest
 
 from spinebound import (
-    ConnectSum,
     DualPath,
     LONGITUDE,
     LensSpace,
@@ -14,13 +13,13 @@ from spinebound import (
     blue_layer_path,
     build_diagram,
     classify,
-    diagram_stats,
     farey_det,
     kirby_link,
     path_from_lens,
     path_product,
     validate_path,
 )
+from spinebound.cli import _diagram_doc
 
 
 def S(text):
@@ -319,31 +318,21 @@ class TestClassify:
             assert classify(extended) == classify(path)
 
 
+def stats_block(path):
+    return _diagram_doc(build_diagram(path), kirby_link(path), classify(path))["stats"]
+
+
 class TestDiagramStats:
     def test_integer_family(self):
         path = path_from_lens(LensSpace(5, 1), "any")
-        stats = diagram_stats(build_diagram(path), classify(path))
-        assert stats.total_genus == 2 and stats.summand_count == 1
-        assert stats.ball_count == 1 and stats.minimal
-        assert stats.trisection_params == (2, (0, 0, 0))
-        assert stats.euler_characteristic == 4
+        assert stats_block(path) == {"total_genus": 2, "ball_count": 1, "minimal": True}
 
     def test_paper_walk(self):
-        stats = diagram_stats(build_diagram(PAPER_72), classify(PAPER_72))
-        assert stats.total_genus == 4 and stats.summand_count == 2
-        assert stats.ball_count == 2 and stats.minimal
-        assert stats.euler_characteristic == 6
+        assert stats_block(PAPER_72) == {"total_genus": 4, "ball_count": 2, "minimal": True}
 
     def test_non_minimal_product(self):
         prod = path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
-        stats = diagram_stats(build_diagram(prod), classify(prod))
-        assert stats.total_genus == 8 and stats.summand_count == 3
-        assert not stats.minimal
-        assert stats.trisection_params is None
-
-    def test_mismatched_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            diagram_stats(build_diagram(PAPER_72), ConnectSum(2, 0))
+        assert stats_block(prod) == {"total_genus": 8, "ball_count": None, "minimal": False}
