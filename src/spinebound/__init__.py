@@ -62,7 +62,6 @@ from .forms import (
     ConsistencyReport,
     FormInvariants,
     Parity,
-    SymIntMatrix,
     TridiagonalForm,
     congruence,
     consistency_check,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -61,15 +62,14 @@ _EXIT_EXHAUSTED = 3
 
 
 def _pack_int(n: int):
-    """Ints beyond the float53 range travel as decimal strings."""
-    return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
-
-
-def _pack_row(row) -> list:
-    """`_pack_int` of every entry, as one copy when the whole row fits."""
-    if -_JSON_INT_LIMIT <= min(row) and max(row) <= _JSON_INT_LIMIT:
-        return list(row)
-    return [_pack_int(x) for x in row]
+    """Ints beyond the float53 range travel as decimal strings; a ValueError
+    when one passes Python's limit on the digits of int-to-string."""
+    if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT:
+        return n
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _unpack_int(v) -> int:
@@ -220,7 +220,7 @@ def _diagram_doc(
                 }
                 for c in link.curves
             ],
-            "linking_matrix": [_pack_row(row) for row in link.linking_matrix],
+            "linking_matrix": _matrix_doc(link),
         },
         "classification": {
             "raw_untwisted": csum.raw_untwisted,
@@ -236,7 +236,24 @@ def _diagram_doc(
     }
 
 
+def _matrix_doc(link: construct.FramedLink) -> list[list]:
+    """The linking matrix as rows of `_pack_int`, each row copied whole when
+    max |p| * max q over the curves, a bound on every entry p_a * q_b, fits."""
+    p = max(abs(c.slope.p) for c in link.curves)
+    q = max(c.slope.q for c in link.curves)
+    if p * q <= _JSON_INT_LIMIT:
+        return [list(row) for row in link.linking_matrix]
+    return [[_pack_int(x) for x in row] for row in link.linking_matrix]
+
+
 _ESCAPE = json.encoder.encode_basestring_ascii
+# The JSON text of every scalar type but float, which `json.dumps` spells.
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
 
 
 def _dump_json(doc) -> str:
@@ -245,8 +262,8 @@ def _dump_json(doc) -> str:
     CPython's C encoder runs only when `indent` is None, so `json.dumps`
     with an indent encodes every diagram in pure Python and gives each
     linking-matrix entry its own call.  Here strings and keys go through
-    the C escaper, and a list of plain ints (not bools) is one join.
-    Every other scalar is written by `json.dumps` itself.
+    the C escaper, a list of plain ints (not bools) is one list repr, and
+    a scalar is written in the same string as its key or separator.
     """
     out: list[str] = []
     _encode(doc, "\n", out)
@@ -256,37 +273,31 @@ def _dump_json(doc) -> str:
 
 def _encode(v, newline: str, out: list[str]) -> None:
     """Append the indent-2 JSON text of `v`, nested after `newline`, to `out`."""
-    if isinstance(v, str):
-        out.append(_ESCAPE(v))
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, v)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
-            return
-        sep, comma = "[" + inner, "," + inner
-        for x in v:
-            out.append(sep)
+    kind = type(v)
+    if kind not in (dict, list, tuple):
+        out.append(_SCALARS.get(kind, json.dumps)(v))
+        return
+    if not v:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    if kind is dict:
+        sep, heads, close = "{" + inner, [_ESCAPE(k) + ": " for k in v], newline + "}"
+        v = v.values()
+    elif set(map(type, v)) == {int}:  # repr spells a list of plain ints as JSON does
+        out.append("[" + inner + repr(list(v))[1:-1].replace(", ", "," + inner) + newline + "]")
+        return
+    else:
+        sep, heads, close = "[" + inner, itertools.repeat(""), newline + "]"
+    for head, x in zip(heads, v):
+        scalar = _SCALARS.get(type(x))
+        if scalar is None:
+            out.append(sep + head)
             _encode(x, inner, out)
-            sep = comma
-        out.append(newline + "]")
-    elif isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for k, x in v.items():
-            out.append(sep + _ESCAPE(k) + ": ")
-            _encode(x, inner, out)
-            sep = comma
-        out.append(newline + "}")
-    elif type(v) is int:
-        out.append(int.__repr__(v))
-    else:  # bool, None, float: json's own spelling
-        out.append(json.dumps(v))
+        else:
+            out.append(sep + head + scalar(x))
+        sep = "," + inner
+    out.append(close)
 
 
 def _bound_doc(result: lens_mod.BoundResult) -> dict:
@@ -443,7 +454,7 @@ def cmd_build(args) -> int:
     csum = construct.classify(path)
     try:
         Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum)))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an integer too long to write
         return _cannot_write(args.out, exc)
     print(f"genus {diagram.total_genus} {csum.normal_form}")
     return _EXIT_OK
@@ -716,7 +727,11 @@ def cmd_verify(args) -> int:
         diagram = construct.build_diagram(path)
         link = construct.kirby_link(path)
         csum = construct.classify(path)
-        expected = _diagram_doc(diagram, link, csum)
+        try:
+            expected = _diagram_doc(diagram, link, csum)
+        except ValueError as exc:  # an integer too long to write
+            print(f"error: cannot recompute the diagram: {exc}", file=sys.stderr)
+            return _EXIT_INPUT
         problems.extend(f"unknown key {json.dumps(k)}" for k in doc if k not in expected)
         for key, want in expected.items():
             difference = _difference(key, doc.get(key, _MISSING), want)

@@ -331,26 +331,30 @@ class FramedLink:
 
 
 def kirby_link(path: DualPath) -> FramedLink:
-    """Framed link and linking matrix for a walk."""
+    """Framed link and linking matrix for a walk.
+
+    Curve r = pos*g + j lies on layer pos in coordinate j, so row r is
+    zero outside the columns j, j + g, ...: there it holds p_c * q_r for
+    the curves c inside layer pos and p_r * q_c from r outwards, the
+    framing p_r * q_r included.
+    """
     _check_steps(path)
     g, m = path.genus, path.steps
-    layer_indices = list(range(1, m + 1)) + list(range(m - 1, 1, -1))
-    curves = []
-    for pos, i in enumerate(layer_indices):
-        for j in range(g):
-            s = path.systems[i][j]
-            curves.append(KirbyCurve(pos, j, s, s.p * s.q))
-    n = len(curves)
-    matrix = [[0] * n for _ in range(n)]
-    for r in range(n):
-        matrix[r][r] = curves[r].framing
-        for c in range(r + 1, n):
-            if curves[r].coordinate != curves[c].coordinate:
-                continue
-            inner, outer = (curves[r], curves[c]) if curves[r].layer < curves[c].layer else (curves[c], curves[r])
-            lk = inner.slope.p * outer.slope.q
-            matrix[r][c] = matrix[c][r] = lk
-    return FramedLink(tuple(curves), tuple(tuple(row) for row in matrix))
+    layers = [path.systems[i] for i in [*range(1, m + 1), *range(m - 1, 1, -1)]]
+    curves = tuple(
+        KirbyCurve(pos, j, s, s.p * s.q)
+        for pos, system in enumerate(layers)
+        for j, s in enumerate(system)
+    )
+    columns = [([s[j].p for s in layers], [s[j].q for s in layers]) for j in range(g)]
+    matrix = []
+    for c in curves:
+        ps, qs = columns[c.coordinate]
+        p, q, pos = c.slope.p, c.slope.q, c.layer
+        row = [0] * len(curves)
+        row[c.coordinate :: g] = [x * q for x in ps[:pos]] + [p * y for y in qs[pos:]]
+        matrix.append(tuple(row))
+    return FramedLink(curves, tuple(matrix))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The linking matrix M of a walk's framed link presents the intersection
 form of the ambient 4-manifold, and connect sums of sphere bundles are
 recognized by rank, signature, parity and unimodularity alone.  Rather
 than eliminate M densely, `congruence` builds a unimodular P from the
-link's slopes, computes T = P^T M P from M's own entries and checks that
-T is block tridiagonal; every invariant is then read off O(n) integers.
+link's slopes, for which T = P^T M P is block tridiagonal, and computes
+from the slopes alone the O(n) entries of T that the proof below leaves
+open; every invariant is then read off those integers.
 
 The construction.  Number one coordinate's curves in link order; their
 entries are M_ab = p_a * q_b for a <= b (the framing p*q on the
@@ -32,8 +33,16 @@ The proof.
   T is tridiagonal on each coordinate's kept curves, with off-diagonal
   entries +-1 (the first one is p*q' of the first two curves, 1 for a
   walk from 1/0), zero rows for the repeats and zero across coordinates.
-  `congruence` checks all of this entry by entry and names the first
-  entry of T that breaks the pattern.
+
+The computation.  Each f_k has at most three terms, so T_kk and the
+entry T_ik between neighbours i < k of a chain are sums of at most nine
+products p_a*q_b with a <= b.  `congruence` computes only these, O(n)
+integers, and never reads M.  The neighbour entries are the b above and
+the first pair's p*q', so checking each against +-1 catches a kept curve
+that is not dual to the one before it; every other entry of T is zero by
+the proof.  The tests keep the dense check: `oracles.dense_congruence`
+multiplies out all n^2 entries of T from M's own entries and names the
+first that breaks the pattern.
 
 The invariants.  A diagonal +-1 congruence makes every off-diagonal 1,
 so a block with diagonal a_1 .. a_L has the leading minors d_k = a_k *
@@ -59,32 +68,6 @@ from functools import cached_property
 
 from .construct import ConnectSum, FramedLink, KirbyCurve
 from .farey import farey_det
-
-
-@dataclass(frozen=True)
-class SymIntMatrix:
-    """An immutable symmetric integer matrix."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-        if tuple(zip(*self.entries)) != self.entries:
-            i, j = next(
-                (i, j) for i in range(n) for j in range(i + 1, n)
-                if self.entries[i][j] != self.entries[j][i]
-            )
-            raise ValueError(f"matrix not symmetric at ({i}, {j})")
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymIntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
 
 
 class CongruenceError(ValueError):
@@ -117,25 +100,31 @@ class TridiagonalForm:
         return tuple(out)
 
 
-def congruence(matrix: SymIntMatrix, curves: Sequence[KirbyCurve]) -> TridiagonalForm:
-    """The certified tridiagonal form of a linking matrix (see the module doc).
+def congruence(curves: Sequence[KirbyCurve]) -> TridiagonalForm:
+    """The certified tridiagonal form of the curves' linking matrix (see the
+    module doc).
 
-    `curves[k]` is the curve of row k.  Raises `CongruenceError` naming the
-    first entry of P^T M P, in row-major order, outside the pattern.
+    `curves[k]` is the curve of row k.  Only the diagonal of each kept
+    curve and the entries between neighbours in a chain are computed; the
+    proof makes every other entry zero.  Raises `CongruenceError` naming
+    the first entry of P^T M P, in row-major order, outside the pattern.
     """
-    n = matrix.order
-    if len(curves) != n:
-        raise ValueError(f"{len(curves)} curves for a matrix of order {n}")
-    moves = []  # (k, i, alpha, h, beta): f_k = e_k - alpha*e_i - beta*e_h
+    p = [c.slope.p for c in curves]
+    q = [c.slope.q for c in curves]
+
+    def entry(f, g) -> int:
+        """f^T M g for vectors of (index, coefficient) terms in one coordinate."""
+        return sum(x * y * (p[a] * q[b] if a <= b else p[b] * q[a]) for a, x in f for b, y in g)
+
     kept: dict[int, list[int]] = {}
+    moves = {}  # the terms of f_k for each kept curve k
     for k, curve in enumerate(curves):
         chain = kept.setdefault(curve.coordinate, [])
         s = curve.slope
         if chain and curves[chain[-1]].slope == s:
-            moves.append((k, chain[-1], 1, k, 0))
-            continue
+            continue  # f_k = e_k - e_i spans part of the radical: row k of T is zero
         if len(chain) < 2:
-            moves.append((k, k, 0, k, 0))
+            moves[k] = ((k, 1),)
         else:
             i, h = chain[-1], chain[-2]
             d = farey_det(curves[i].slope, curves[h].slope)
@@ -143,31 +132,22 @@ def congruence(matrix: SymIntMatrix, curves: Sequence[KirbyCurve]) -> Tridiagona
                 raise CongruenceError(f"curves {h} and {i} are neither equal nor dual")
             alpha = farey_det(s, curves[h].slope) * d  # Cramer's rule; 1/d = d
             beta = farey_det(curves[i].slope, s) * d
-            moves.append((k, i, alpha, h, beta))
+            moves[k] = ((k, 1), (i, -alpha), (h, -beta))
         chain.append(k)
 
-    mp = [[r[k] - a * r[i] - b * r[h] for k, i, a, h, b in moves] for r in matrix.entries]
-    t = [[x - a * y - b * z for x, y, z in zip(mp[k], mp[i], mp[h])] for k, i, a, h, b in moves]
-
-    neighbours: dict[int, list[int]] = {k: [] for chain in kept.values() for k in chain}
+    bad = []
     for chain in kept.values():
-        for x, y in zip(chain, chain[1:]):
-            neighbours[x].append(y)
-            neighbours[y].append(x)
-    for k, row in enumerate(t):
-        rest = row[:]  # the entries outside the pattern, and flags for bad ones in it
-        if k in neighbours:
-            rest[k] = 0
-            for c in neighbours[k]:
-                rest[c] = abs(row[c]) != 1
-        if any(rest):
-            c = next(c for c, x in enumerate(rest) if x)
-            want = "+-1" if c in neighbours.get(k, ()) else "0"
-            raise CongruenceError(f"P^T M P entry ({k}, {c}) is {row[c]}, expected {want}")
+        for i, k in zip(chain, chain[1:]):
+            t = entry(moves[i], moves[k])
+            if abs(t) != 1:
+                bad.append((i, k, t))
+    if bad:
+        i, k, t = min(bad)
+        raise CongruenceError(f"P^T M P entry ({i}, {k}) is {t}, expected +-1")
     return TridiagonalForm(
-        order=n,
-        blocks=tuple(tuple(t[k][k] for k in chain) for chain in kept.values()),
-        radical=n - sum(map(len, kept.values())),
+        order=len(curves),
+        blocks=tuple(tuple(entry(moves[k], moves[k]) for k in chain) for chain in kept.values()),
+        radical=len(curves) - len(moves),
     )
 
 
@@ -280,16 +260,17 @@ def consistency_check(link: FramedLink, classified: ConnectSum) -> ConsistencyRe
 
     `link` is a walk's framed link (`construct.kirby_link`) and
     `classified` the same walk's connect sum (`construct.classify`); the
-    caller builds both once and may write them out as well.  The
-    linking matrix must be certified tridiagonal by `congruence`,
-    and then have rank twice the dual step count, zero signature, a
+    caller builds both once and may write them out as well.  Only
+    `link.curves` is read: `congruence` certifies the linking form
+    tridiagonal from the slopes, and it must then have rank twice the
+    dual step count, zero signature, a
     unimodular nondegenerate part, and odd parity exactly when the
     classifier emits a twisted summand; its recognized connect sum must
     match the classifier's normal form.  Any mismatch points at a
     linking sign-convention bug.
     """
     try:
-        form = congruence(SymIntMatrix(link.linking_matrix), link.curves)
+        form = congruence(link.curves)
     except CongruenceError as exc:
         return ConsistencyReport(False, None, classified, None, (f"linking form: {exc}",))
     inv = form_invariants(form)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from spinebound.farey import LONGITUDE, MERIDIAN, canonical, farey_parents, is_even_vertex
+from spinebound.forms import CongruenceError, TridiagonalForm
 
 
 def all_slopes(cap):
@@ -171,9 +173,98 @@ def char_poly_signature(rows):
 
 # --- dense integer forms ---------------------------------------------------
 #
-# The reference for `spinebound.forms`: one symmetric fraction-free Bareiss
-# pass per matrix and a Smith reduction, O(n^3) on the full matrix, with no
-# use of the slopes the library's congruence is built from.
+# The references for `spinebound.forms`: the congruence multiplied out
+# entry by entry from the full matrix, and one symmetric fraction-free
+# Bareiss pass per matrix and a Smith reduction, O(n^3) on the full matrix,
+# with no use of the slopes the library's congruence is built from.
+
+
+@dataclass(frozen=True)
+class SymIntMatrix:
+    """An immutable symmetric integer matrix."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("matrix must be square")
+        if tuple(zip(*self.entries)) != self.entries:
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if self.entries[i][j] != self.entries[j][i]
+            )
+            raise ValueError(f"matrix not symmetric at ({i}, {j})")
+
+    @classmethod
+    def from_rows(cls, rows) -> "SymIntMatrix":
+        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+
+    @property
+    def order(self) -> int:
+        return len(self.entries)
+
+
+def dense_congruence(rows, curves) -> TridiagonalForm:
+    """`forms.congruence` entry by entry: P from the slopes, then all of
+    T = P^T M P multiplied out from the matrix `rows` and checked against
+    the whole pattern.
+
+    `curves[k]` is the curve of row k; `rows` must be square and
+    symmetric.  Raises `CongruenceError` naming the first entry of T, in
+    row-major order, outside the pattern.
+    """
+    matrix = SymIntMatrix.from_rows(rows)
+    n = matrix.order
+    if len(curves) != n:
+        raise ValueError(f"{len(curves)} curves for a matrix of order {n}")
+
+    def det2(a, b):
+        return a.p * b.q - b.p * a.q
+
+    moves = []  # (k, i, alpha, h, beta): f_k = e_k - alpha*e_i - beta*e_h
+    kept: dict[int, list[int]] = {}
+    for k, curve in enumerate(curves):
+        chain = kept.setdefault(curve.coordinate, [])
+        s = curve.slope
+        if chain and curves[chain[-1]].slope == s:
+            moves.append((k, chain[-1], 1, k, 0))
+            continue
+        if len(chain) < 2:
+            moves.append((k, k, 0, k, 0))
+        else:
+            i, h = chain[-1], chain[-2]
+            d = det2(curves[i].slope, curves[h].slope)
+            if abs(d) != 1:
+                raise CongruenceError(f"curves {h} and {i} are neither equal nor dual")
+            alpha = det2(s, curves[h].slope) * d
+            beta = det2(curves[i].slope, s) * d
+            moves.append((k, i, alpha, h, beta))
+        chain.append(k)
+
+    mp = [[r[k] - a * r[i] - b * r[h] for k, i, a, h, b in moves] for r in matrix.entries]
+    t = [[x - a * y - b * z for x, y, z in zip(mp[k], mp[i], mp[h])] for k, i, a, h, b in moves]
+
+    neighbours: dict[int, list[int]] = {k: [] for chain in kept.values() for k in chain}
+    for chain in kept.values():
+        for x, y in zip(chain, chain[1:]):
+            neighbours[x].append(y)
+            neighbours[y].append(x)
+    for k, row in enumerate(t):
+        rest = row[:]  # the entries outside the pattern, and flags for bad ones in it
+        if k in neighbours:
+            rest[k] = 0
+            for c in neighbours[k]:
+                rest[c] = abs(row[c]) != 1
+        if any(rest):
+            c = next(c for c, x in enumerate(rest) if x)
+            want = "+-1" if c in neighbours.get(k, ()) else "0"
+            raise CongruenceError(f"P^T M P entry ({k}, {c}) is {row[c]}, expected {want}")
+    return TridiagonalForm(
+        order=n,
+        blocks=tuple(tuple(t[k][k] for k in chain) for chain in kept.values()),
+        radical=n - sum(map(len, kept.values())),
+    )
 
 
 def dense_det(rows):

@@ -20,6 +20,7 @@ from spinebound import (
     build_diagram,
     canonical,
     classify,
+    congruence,
     consistency_check,
     equivalent_reps,
     even_distance,
@@ -176,11 +177,14 @@ def test_c7_oracle_cross_validation():
         else:
             path = path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
         if 2 * path.genus * (path.steps - 1) > 400:
-            # keep the run desk-scale; the congruence is O(n^2) per matrix
+            # keep the run desk-scale: the dense linking matrix that
+            # kirby_link builds, and the dense oracle below, are O(n^2)
             resampled += 1
             continue
-        report_ = consistency_check(kirby_link(path), classify(path))
+        link = kirby_link(path)
+        report_ = consistency_check(link, classify(path))
         assert report_.ok, (path, report_.failures)
+        assert congruence(link.curves) == oracles.dense_congruence(link.linking_matrix, link.curves)
         dual_steps = sum(
             1
             for i in range(2, path.steps + 1)
@@ -318,7 +322,8 @@ def test_c9_property_suites():
 
 def test_c10_long_walk_consistency():
     # Walks past C7's order limit, up to order 1000, under a budget the
-    # O(n^2) congruence meets and a dense O(n^3) elimination would not.
+    # O(n) congruence, the O(n^2) dense linking matrix of kirby_link and
+    # the O(n^2) dense oracle meet and a dense O(n^3) elimination would not.
     start = time.perf_counter()
     long_walks = [
         ("even walk of L(81,80)", path_from_lens(LensSpace(81, 80), "even")),
@@ -337,9 +342,11 @@ def test_c10_long_walk_consistency():
     ]
     orders = []
     for name, path in long_walks:
-        order = len(kirby_link(path).linking_matrix)
-        report_ = consistency_check(kirby_link(path), classify(path))
+        link = kirby_link(path)
+        order = len(link.linking_matrix)
+        report_ = consistency_check(link, classify(path))
         assert report_.ok, (name, report_.failures)
+        assert congruence(link.curves) == oracles.dense_congruence(link.linking_matrix, link.curves)
         inv = report_.invariants
         assert inv.signature == 0
         assert inv.rank == order and abs(inv.determinant) == 1

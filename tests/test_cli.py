@@ -670,3 +670,27 @@ class TestBigIntJson:
         assert isinstance(curve["slope"]["p"], str)
         code, out, _ = run(capsys, "verify", str(out_file))
         assert code == 0, out
+
+    def test_integers_too_long_to_write_are_input_errors(self, capsys, tmp_path):
+        """Every field of the walk fits Python's 4300-digit int-string limit,
+        but a framing and linking entries of its diagram do not."""
+        walk = {
+            "mode": "dual",
+            "systems": [
+                [{"p": 0, "q": 1}],
+                [{"p": 1, "q": 0}],
+                [{"p": str(10**2500), "q": 1}],
+                [{"p": str(10**4000 + 1), "q": str(10**1500)}],
+            ],
+        }
+        path_file, out_file = tmp_path / "walk.json", tmp_path / "d.json"
+        path_file.write_text(json.dumps(walk))
+        code, out, err = run(capsys, "build", "--path-file", str(path_file), "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "digits" in err
+        assert not out_file.exists()
+        diagram = tmp_path / "v.json"
+        diagram.write_text(json.dumps({"version": 1, "path": walk}))
+        code, out, err = run(capsys, "verify", str(diagram))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "digits" in err

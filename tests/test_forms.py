@@ -11,12 +11,12 @@ from spinebound import (
     ConnectSum,
     DualPath,
     FormInvariants,
+    FramedLink,
     LONGITUDE,
     LensSpace,
     MERIDIAN,
     Parity,
     PathMode,
-    SymIntMatrix,
     TridiagonalForm,
     canonical,
     classify,
@@ -64,9 +64,10 @@ def congruent(rows, u):
 
 
 def kirby_form(path, rows=None):
-    """The certified form of a walk's linking matrix, or of `rows` in its place."""
-    link = kirby_link(path)
-    return congruence(SymIntMatrix.from_rows(rows or link.linking_matrix), link.curves)
+    """The certified form of a walk's link, or the dense oracle's form of
+    `rows` in place of its linking matrix."""
+    curves = kirby_link(path).curves
+    return congruence(curves) if rows is None else oracles.dense_congruence(rows, curves)
 
 
 def as_tuple(inv: FormInvariants):
@@ -170,12 +171,40 @@ class TestCongruence:
         curves = list(kirby_link(path_from_lens(LensSpace(7, 2), "any")).curves)
         curves[2] = dataclasses.replace(curves[2], slope=canonical(7, 3))
         with pytest.raises(CongruenceError, match="curves 1 and 2 are neither equal nor dual"):
-            congruence(SymIntMatrix.from_rows(PAPER_72_ROWS), curves)
+            congruence(curves)
+        with pytest.raises(CongruenceError, match="curves 1 and 2 are neither equal nor dual"):
+            oracles.dense_congruence(PAPER_72_ROWS, curves)
+
+    def test_non_unit_neighbour_entry(self):
+        """A kept curve not dual to the one before it: both paths name the entry."""
+        curves = list(kirby_link(path_from_lens(LensSpace(7, 2), "any")).curves)[:3]
+        curves[2] = dataclasses.replace(curves[2], slope=canonical(5, 1))  # det(5/1, 3/1) = 2
+        rows = [[curves[min(a, b)].slope.p * curves[max(a, b)].slope.q for b in range(3)] for a in range(3)]
+        for certify in (congruence, lambda cs: oracles.dense_congruence(rows, cs)):
+            with pytest.raises(CongruenceError, match=r"entry \(1, 2\) is -?2, expected \+-1"):
+                certify(curves)
 
     def test_curve_count_must_match(self):
         curves = kirby_link(path_from_lens(LensSpace(7, 2), "any")).curves
         with pytest.raises(ValueError):
-            congruence(SymIntMatrix.from_rows(PAPER_72_ROWS), curves[:3])
+            oracles.dense_congruence(PAPER_72_ROWS, curves[:3])
+
+    def test_equals_dense_congruence(self):
+        """The O(n) form is the dense oracle's, repeats and all."""
+        rng = random.Random(28)
+        kinds = Counter()
+        while kinds["walks"] < 150:
+            path = random_kirby_walk(rng)
+            link = kirby_link(path)
+            if len(link.curves) > 160:
+                continue
+            form = congruence(link.curves)
+            assert form == oracles.dense_congruence(link.linking_matrix, link.curves), path
+            kinds["walks"] += 1
+            kinds[path.mode.value] += 1
+            kinds["with radical"] += form.radical > 0
+            kinds["genus 3"] += path.genus == 3
+        assert min(kinds.values()) >= 30, kinds
 
 
 class TestTridiagonalForm:
@@ -256,9 +285,9 @@ class TestDet:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            SymIntMatrix.from_rows([[0, 1], [2, 0]])
+            oracles.SymIntMatrix.from_rows([[0, 1], [2, 0]])
         with pytest.raises(ValueError, match="square"):
-            SymIntMatrix.from_rows([[0, 1], [1]])
+            oracles.SymIntMatrix.from_rows([[0, 1], [1]])
 
 
 class TestSignature:
@@ -470,3 +499,22 @@ class TestConsistency:
         assert report.ok, report.failures
         matrix_order = len(kirby_link(prod).linking_matrix)
         assert report.invariants.rank == 6 < matrix_order
+
+    def test_reads_only_the_curves(self):
+        """The check is O(n): a link without its matrix gives the same report."""
+        walks = [
+            path_from_lens(LensSpace(7, 2), "any"),
+            path_product(
+                [
+                    path_from_lens(LensSpace(7, 2), "any"),
+                    path_from_lens(LensSpace(13, 5), "even"),
+                    path_from_lens(LensSpace(2, 1), "any"),
+                ],
+                PathMode.PARALLEL,
+            ),
+        ]
+        for path in walks:
+            link, csum = kirby_link(path), classify(path)
+            report = consistency_check(FramedLink(link.curves, ()), csum)
+            assert report == consistency_check(link, csum) and report.ok
+        assert walks[1].genus == 3 and report.invariants.rank < len(link.curves)
