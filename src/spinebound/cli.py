@@ -42,8 +42,9 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import construct, forms, lens as lens_mod
+from . import lens as lens_mod
 from .evenfarey import even_distance
 from .farey import (
     DomainError,
@@ -52,6 +53,9 @@ from .farey import (
     Slope,
     farey_distance,
 )
+
+if TYPE_CHECKING:
+    from . import construct
 
 _JSON_INT_LIMIT = 2**53 - 1
 
@@ -171,6 +175,8 @@ def _path_doc(path: construct.DualPath) -> dict:
 
 
 def _path_from_doc(doc) -> construct.DualPath:
+    from . import construct  # on first use, so the bound commands start without it
+
     doc = _expect(doc, dict, "the walk")
     mode = construct.PathMode(doc["mode"])
     systems = tuple(
@@ -420,6 +426,8 @@ def _load_path_file(path_file: str) -> construct.DualPath:
 
 
 def cmd_build(args) -> int:
+    from . import construct  # on first use, so the bound commands start without it
+
     if args.path_file is not None:
         given = [
             name
@@ -710,6 +718,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import construct, forms  # on first use, so the bound commands start without them
+
     doc = _load_diagram(args.input)
     if doc is None:
         return _EXIT_INPUT

@@ -10,7 +10,6 @@ from spinebound import (
     PathMode,
     Slope,
     ViolationKind,
-    blue_layer_path,
     build_diagram,
     classify,
     farey_det,
@@ -20,6 +19,7 @@ from spinebound import (
     validate_path,
 )
 from spinebound.cli import _diagram_doc
+from spinebound.construct import blue_layer_path
 
 
 def S(text):

@@ -13,15 +13,14 @@ from spinebound import (
     Slope,
     canonical,
     even_distance,
-    even_parent,
     even_trace,
     farey_det,
     farey_distance,
     farey_parents,
     is_even_vertex,
-    iteration_index,
 )
 from spinebound import evenfarey, farey
+from spinebound.evenfarey import even_parent, iteration_index
 
 
 def S(text):

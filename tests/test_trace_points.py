@@ -8,6 +8,7 @@ from pathlib import Path
 
 import spinebound
 import spinebound.cli  # noqa: F401  (the tracer wraps the cli commands too)
+from test_package_import import run_fresh
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,6 +33,24 @@ def test_every_wrap_point_resolves():
         for mod, attr, name in points
         if not callable(getattr(mod, attr, None))
     ]
+    assert missing == []
+
+
+def test_wrap_points_resolve_on_a_fresh_import():
+    """A benchmark process imports only `spinebound.cli`, which leaves
+    `construct` and `forms` unloaded until the tracer reads them."""
+    script = """
+import json, sys
+import test_trace_points as t  # imports spinebound and spinebound.cli only
+
+before = sorted(m for m in sys.modules if m.startswith("spinebound."))
+points = t.load_spans().wrap_points(t.spinebound)
+missing = [f"{m.__name__}.{a}" for m, a, _ in points if not callable(getattr(m, a, None))]
+print(json.dumps([before, sorted({n.split(".")[0] for _, _, n in points}), missing]))
+"""
+    before, layers, missing = run_fresh(script)
+    assert [m.removeprefix("spinebound.") for m in before] == ["cli", "evenfarey", "farey", "lens"]
+    assert layers == ["cli", "construct", "evenfarey", "farey", "forms", "lens"]
     assert missing == []
 
 
