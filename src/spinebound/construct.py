@@ -297,17 +297,6 @@ def build_diagram(path: DualPath) -> TrisectionDiagram:
     )
 
 
-def blue_layer_path(diagram: TrisectionDiagram, mode: PathMode) -> DualPath:
-    """Reconstruct the walk from the blue layers (round-trip check)."""
-    g, copies = diagram.genus_per_copy, diagram.num_copies
-    m = copies // 2 + 1
-    by_pos = {(c.copy, c.coordinate): c.slope for c in diagram.blue}
-    systems = [tuple([MERIDIAN] * g), tuple(by_pos[(copies - 1, j)] for j in range(g))]
-    for k in range(m - 1):
-        systems.append(tuple(by_pos[(k, j)] for j in range(g)))
-    return DualPath(tuple(systems), mode)
-
-
 @dataclass(frozen=True)
 class KirbyCurve:
     layer: int  # 0 = innermost torus

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 from .farey import (
     DomainError,
-    LONGITUDE,
-    MERIDIAN,
     PathKind,
     Slope,
     SlopePath,
@@ -60,23 +58,9 @@ from .farey import (
 )
 
 
-def even_parent(s: Slope) -> Slope:
-    """The unique mediant parent of an even slope that is itself even.
-
-    Covers the boundary rows as well: (1, 2k) -> 0/1 and (2k, 1) -> 1/0
-    fall out of the general parent computation.
-    """
-    if not is_even_vertex(s):
-        raise DomainError(f"{s} is odd; even parents exist only for even slopes")
-    if s.p < 0:
-        raise DomainError(f"{s} is negative; reflect before tracing")
-    if s in (MERIDIAN, LONGITUDE):
-        raise DomainError(f"{s} is a root of the even Farey graph")
-    return Slope(*_even_step(s.p, s.q))
-
-
 def _even_step(p: int, q: int) -> tuple[int, int]:
-    """`even_parent` on integer pairs, the step of an even trace."""
+    """The even one of the two mediant parents of an even pair other than
+    a root: the step of an even trace."""
     first, second = _parent_pairs(p, q)
     first_even = _is_even_pair(*first)
     if first_even == _is_even_pair(*second):
@@ -130,30 +114,3 @@ def even_distance(a: Slope, b: Slope) -> tuple[int, SlopePath]:
     vertices = tuple(Slope(*_sign_pair(p * r - gq * t, q * r + gp * t)) for r, t in walk)
     path = SlopePath(vertices, PathKind.EVEN_FAREY)
     return path.edges, path
-
-
-def iteration_index(s: Slope) -> int:
-    """Depth of s in the mediant tree grown from 0/1 and 1/0.
-
-    index(0/1) = index(1/0) = 0 and index(s) = 1 + max over the two
-    mediant parents.  This is a tree depth, not an even-graph distance;
-    for example 7/2 has depth 5 but even-graph distance 3 from 0/1, so
-    the two are reported separately and never assumed equal.
-    """
-    if s.p < 0:
-        raise DomainError(f"{s} is negative; depth is defined on the nonnegative fan")
-    memo: dict[tuple[int, int], int] = {(0, 1): 0, (1, 0): 0}
-    stack = [(s.p, s.q)]
-    while stack:
-        v = stack[-1]
-        if v in memo:
-            stack.pop()
-            continue
-        parents = _parent_pairs(*v)
-        missing = [w for w in parents if w not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo[v] = 1 + max(memo[parents[0]], memo[parents[1]])
-            stack.pop()
-    return memo[s.p, s.q]

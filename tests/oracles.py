@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from spinebound.farey import LONGITUDE, MERIDIAN, canonical, farey_parents, is_even_vertex
+from spinebound.construct import DualPath
+from spinebound.farey import (
+    LONGITUDE,
+    MERIDIAN,
+    DomainError,
+    canonical,
+    farey_parents,
+    is_even_vertex,
+)
 from spinebound.forms import CongruenceError, TridiagonalForm
 
 
@@ -101,6 +109,37 @@ def longitude_distance(p, q):
     return left[2]
 
 
+def iteration_index(s):
+    """Depth of the slope s >= 0 in the mediant tree grown from 0/1 and
+    1/0: 0 at the roots, else 1 + the larger depth of its two mediant
+    parents, which are the ends of the Stern-Brocot interval it splits.
+    A tree depth, not an even-graph distance: 7/2 has depth 5 but even
+    distance 3 from 0/1."""
+    if s.p < 0:
+        raise DomainError(f"{s} is negative; depth is defined on the nonnegative fan")
+    if s in (MERIDIAN, LONGITUDE):
+        return 0
+    left, right = (0, 1, 0), (1, 0, 0)  # (p, q, depth) of each end
+    while True:
+        mid = (left[0] + right[0], left[1] + right[1], 1 + max(left[2], right[2]))
+        if mid[:2] == (s.p, s.q):
+            return mid[2]
+        if s.p * mid[1] < mid[0] * s.q:
+            right = mid
+        else:
+            left = mid
+
+
+def even_parent(s):
+    """The mediant parent of an even slope s >= 0, not a root, that is
+    itself even; it is unique, since each Farey triangle has one odd
+    vertex."""
+    if not is_even_vertex(s) or s.p < 0 or s in (MERIDIAN, LONGITUDE):
+        raise DomainError(f"{s} has no even parent: it is odd, negative or a root")
+    (parent,) = [v for v in farey_parents(s) if is_even_vertex(v)]
+    return parent
+
+
 def slope_trace(s, even=False):
     """The parent trace of `farey.parent_trace`, one `Slope` at a time: each
     step takes `farey_parents`, then the parent of even parity (even=True)
@@ -119,6 +158,17 @@ def slope_trace(s, even=False):
     if out[-1] == LONGITUDE:
         out.append(MERIDIAN)
     return out
+
+
+def blue_layer_path(diagram, mode):
+    """The walk read back from a diagram's blue curves: the meridians, then
+    the last copy's slopes as D_2, then copy k's as D_{k+3}."""
+    g, copies = diagram.genus_per_copy, diagram.num_copies
+    by_pos = {(c.copy, c.coordinate): c.slope for c in diagram.blue}
+    systems = [(MERIDIAN,) * g, tuple(by_pos[copies - 1, j] for j in range(g))]
+    for k in range(copies // 2):
+        systems.append(tuple(by_pos[k, j] for j in range(g)))
+    return DualPath(tuple(systems), mode)
 
 
 def cofactor_det(rows):

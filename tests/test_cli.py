@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 from spinebound import farey
-from spinebound.cli import _blue_line_elements, _blue_lines, main
+from spinebound.cli import main
+from spinebound.diagrams import _blue_line_elements, _blue_lines
 
 
 # Every reduced blue slope p/q with 0 < |p| <= 80 and 0 < q <= 80, p
@@ -303,7 +304,7 @@ class TestRenderAndVerify:
 
     def test_render_rejects_genus2(self, capsys, tmp_path):
         import spinebound as sb
-        from spinebound.cli import _diagram_doc, _dump_json
+        from spinebound.diagrams import _diagram_doc, _dump_json
 
         prod = sb.path_product(
             [

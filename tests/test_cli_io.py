@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinebound.cli import _difference, _dump_json, _same, main
+from spinebound import lens
+from spinebound.cli import main
+from spinebound.diagrams import _difference, _dump_json, _same
 from test_cli_total import DIAGRAM, field_paths, replaced
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -112,6 +114,17 @@ def test_build_unwritable_output(capsys, tmp_path):
 def test_table_unwritable_output(capsys, tmp_path):
     target = tmp_path / "missing" / "x.csv"
     _assert_cannot_write(*run(capsys, "table", "--pmax", "5", "--out", str(target)), target)
+
+
+def test_table_opens_its_output_before_computing(capsys, tmp_path, monkeypatch):
+    """A bad --out fails at once, not after every row has been computed."""
+
+    def no_rows(pmax):
+        raise AssertionError("the table was computed before --out was opened")
+
+    monkeypatch.setattr(lens, "prop_bound_table", no_rows)
+    target = tmp_path / "missing" / "x.csv"
+    _assert_cannot_write(*run(capsys, "table", "--pmax", "150", "--out", str(target)), target)
 
 
 def test_render_unwritable_output(capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from spinebound import (
     DualPath,
     LONGITUDE,
@@ -18,8 +19,7 @@ from spinebound import (
     path_product,
     validate_path,
 )
-from spinebound.cli import _diagram_doc
-from spinebound.construct import blue_layer_path
+from spinebound.diagrams import _diagram_doc
 
 
 def S(text):
@@ -220,7 +220,7 @@ class TestBuildDiagram:
         for _ in range(30):
             path = random_valid_path(rng)
             d = build_diagram(path)
-            assert blue_layer_path(d, path.mode) == path
+            assert oracles.blue_layer_path(d, path.mode) == path
 
     def test_invalid_path_rejected(self):
         with pytest.raises(ValueError):

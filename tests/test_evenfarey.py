@@ -20,7 +20,7 @@ from spinebound import (
     is_even_vertex,
 )
 from spinebound import evenfarey, farey
-from spinebound.evenfarey import even_parent, iteration_index
+from oracles import even_parent, iteration_index
 
 
 def S(text):

@@ -1,10 +1,11 @@
 """The bound commands load only the modules they run.
 
-`lens-bounds`, `table` and `dist` need `farey`, `evenfarey` and `lens`;
-`construct` and `forms` load on first use, by `build` and `verify` or by a
-name read from the package.  Each check runs in a fresh interpreter, since
-the test session has imported every module already.
-"""
+`lens-bounds`, `table` and `dist` need `farey`, `evenfarey` and `lens`.
+`diagrams`, the diagram-file half of the CLI, loads on the first `build`,
+`render` or `verify`; `construct` loads with `build` and `verify`, and
+`forms` with `verify`, or either on a name read from the package.  Each
+check runs in a fresh interpreter, since the test session has imported
+every module already."""
 
 import json
 import os
@@ -85,9 +86,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         ["verify", diagram],
     ]
     loaded = run_fresh(COMMANDS, json.dumps(commands))
+    built = sorted(BOUND_MODULES + ["spinebound.construct", "spinebound.diagrams"])
     assert loaded[:4] == [[0, BOUND_MODULES]] * 4
-    assert loaded[4] == [0, sorted(BOUND_MODULES + ["spinebound.construct"])]
-    assert loaded[5] == [0, sorted(BOUND_MODULES + ["spinebound.construct", "spinebound.forms"])]
+    assert loaded[4] == [0, built]
+    assert loaded[5] == [0, sorted(built + ["spinebound.forms"])]
+
+
+def test_render_loads_neither_construct_nor_forms(tmp_path):
+    """`render` reads the drawing off the file and recomputes nothing."""
+    diagram, svg = str(tmp_path / "d.json"), str(tmp_path / "d.svg")
+    assert run_fresh(COMMANDS, json.dumps([["build", "7", "2", "--out", diagram]]))[0][0] == 0
+    loaded = run_fresh(COMMANDS, json.dumps([["render", diagram, svg]]))
+    assert loaded == [[0, sorted(BOUND_MODULES + ["spinebound.diagrams"])]]
 
 
 RESOLVE = """

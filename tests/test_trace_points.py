@@ -65,3 +65,18 @@ def test_verify_reaches_the_forms_spans(tmp_path, capsys):
     sizes = {s.name: s.size for s in tracer.spans}
     assert {"cli.verify", "forms.consistency", "forms.signature"} <= sizes.keys()
     assert sizes["forms.signature"] == 4
+
+
+def test_build_reaches_the_construct_spans(tmp_path):
+    """The benchmark's construct metrics come from spans on the `construct`
+    module attributes.  As in a benchmark run, the first `build` loads the
+    program untraced, so a name bound from `construct` at load time would
+    miss the spans and make those metrics read 0."""
+    argv = ["build", "7", "2", "--out", str(tmp_path / "d.json")]
+    assert spinebound.cli.main(argv) == 0
+    tracer = load_spans().Tracer(spinebound)
+    with tracer.installed():
+        assert spinebound.cli.main(argv) == 0
+    names = {s.name for s in tracer.spans}
+    spans = {"cli.build", "construct.build_diagram", "construct.kirby_link", "construct.classify"}
+    assert spans <= names
