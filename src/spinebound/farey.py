@@ -35,11 +35,13 @@ form, in :mod:`spinebound.evenfarey`.  A node budget, `_MAX_NODES`, still
 bounds the work on large inputs.  All arithmetic is plain Python integer
 arithmetic, hence exact at every size.
 
-The search expands vertices in (q, p) order, and each expansion lists its
-neighbours in closed form: the slopes dual to v are x0 + t*v up to sign,
-all primitive and no two antipodal, so their canonical forms make two
-arithmetic runs that alternate in (q, p) order and are interleaved with
-no gcd, set or sort.
+The search names each slope of the box by one int, key(p, q) =
+q*W + p + m with W = 2m + 1, which orders slopes by (q, p); the garbage
+collector tracks no int.  The duals of v = p/q make two runs of keys
+(`_neighbor_keys`), read unsorted: the frontier is expanded in key
+order, so a slope's parent is the first frontier vertex in key order
+that reaches it, and the meet is picked by its key, whatever the order
+of the runs.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable
 
 # How many vertices a single search may expand before giving up and
@@ -210,57 +213,52 @@ def farey_parents(s: Slope) -> tuple[Slope, Slope]:
     return Slope(*first), Slope(*second)
 
 
-def _neighbor_tuples(v: tuple[int, int], box: int) -> list[tuple[int, int]]:
-    """Canonical slopes dual to v with |p| <= box and q <= box, sorted by (q, p).
+def _neighbor_keys(p: int, q: int, box: int) -> tuple[range, range]:
+    """Keys of the canonical slopes dual to p/q with |p|, q <= box, as two runs.
 
-    For v = p/q with q >= 1, take x0 = (a0, b0) with det(v, x0) = 1 and
-    1 <= b0 <= q.  The solutions of det(v, x) = 1 are x_t = x0 + t*v; a
-    common factor of x_t would divide det = 1, so each is primitive and
-    no gcd is taken.  The solutions of det = -1 are their antipodes, so
-    no two members of the family are one slope and no set is needed.
-    Canonical forms split the family into two runs, x_t for t >= 0 and
-    -x_t = k*v - x0 for t = -k <= -1; q = 0 occurs only as -x_{-1} = 1/0,
-    when v = n/1.  Both runs step by +v, and adding v keeps (q, p)
-    order, so the runs alternate from their heads on: 1 <= b0 <= q gives
-    x_0 < -x_{-1} < x_1 or -x_{-1} < x_0 < -x_{-2}.  The box is an
-    interval of t, so when both runs are nonempty it cuts only their far
-    ends, and interleaving them from the smaller head, then appending
-    the longer run's tail, is the sorted list without a keyed sort.
+    For q >= 1 take x0 = (a0, b0) with det(v, x0) = 1 and 1 <= b0 <= q.
+    The solutions of det(v, x) = 1 are x_t = x0 + t*v; a common factor of
+    x_t would divide det = 1, so each is primitive and no gcd is taken.
+    The solutions of det = -1 are their antipodes, so no two members of
+    the family are one slope and no set is needed.  Canonical forms
+    split the family into x_t for t >= 0 and -x_t = k*v - x0 for
+    t = -k <= -1 (1/0 = -x_{-1} when v = n/1).  The box is an interval of
+    t and key is linear, so each run is a range with step q*W + p.  The
+    slope p/q itself need not lie in the box.
     """
-    p, q = v
+    w = 2 * box + 1
     if not q:  # v = 1/0: the family is (t, 1), a single run
-        return [(t, 1) for t in range(-box, box + 1)]
+        return range(w, 2 * w), range(0)
     b0 = pow(p, -1, q) or q
     a0 = (p * b0 - 1) // q  # det(v, x0) = p*b0 - a0*q = 1
     lo, hi = -((box + b0) // q), (box - b0) // q  # |b0 + t*q| <= box
     if p:  # |a0 + t*p| <= box; c keeps the floors on the right side for p < 0
         c = box if p > 0 else -box
         lo, hi = max(lo, -((c + a0) // p)), min(hi, (c - a0) // p)
+    step, base = q * w + p, b0 * w + a0  # key(x_t) = base + box + t*step
     s, k = max(lo, 0), max(-hi, 1)  # first t of the x_t run, first k of the k*v - x0 run
-    xs = [(a0 + t * p, b0 + t * q) for t in range(s, hi + 1)]
-    ys = [(t * p - a0, t * q - b0) for t in range(k, 1 - lo)]
-    if not (xs and ys):
-        return xs or ys
-    if (ys[0][1], ys[0][0]) < (xs[0][1], xs[0][0]):
-        xs, ys = ys, xs
-    n = min(len(xs), len(ys))
-    out = xs[:n] * 2
-    out[::2], out[1::2] = xs[:n], ys[:n]
-    return out + xs[n:] + ys[n:]
+    # the first key and the length of each run
+    x, y, nx, ny = base + box + s * step, k * step - base + box, hi + 1 - s, 1 - lo - k
+    step = max(step, 1)  # keys grow with q, so step <= 0 (p/q outside the box) means runs of <= 1
+    return range(x, x + nx * step, step), range(y, y + ny * step, step)
+
+
+def _key_pair(key: int, box: int) -> tuple[int, int]:
+    """The slope (p, q) that `key` names in the box |p|, q <= box."""
+    q, r = divmod(key, 2 * box + 1)
+    return r - box, q
 
 
 def neighbors(s: Slope, cap: int) -> list[Slope]:
     """All slopes dual to s with |p| <= cap and q <= cap, sorted by (q, p).
 
-    The duals are x0 + t*s up to sign: each is primitive because its
-    determinant with s is 1, so no gcd is taken, and their canonical
-    forms make two runs that alternate in (q, p) order, so they are
-    interleaved rather than sorted.  The full argument is at
-    `_neighbor_tuples`.
+    The duals are x0 + t*s up to sign, two runs of keys with no gcd, set
+    or search; sorting the keys sorts the slopes by (q, p).  The full
+    argument is at `_neighbor_keys`.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return [Slope(p, q) for p, q in _neighbor_tuples((s.p, s.q), cap)]
+    return [Slope(*_key_pair(k, cap)) for k in sorted(chain(*_neighbor_keys(s.p, s.q, cap)))]
 
 
 def common_neighbors(a: Slope, b: Slope) -> list[Slope]:
@@ -336,9 +334,7 @@ def _fallback_walk(a: Slope, b: Slope) -> SlopePath:
     return SlopePath(tuple(_splice(walk)))
 
 
-def _branch(
-    prev: dict[tuple[int, int], tuple[int, int] | None], v: tuple[int, int] | None
-) -> list[tuple[int, int]]:
+def _branch(prev: dict[int, int | None], v: int | None) -> list[int]:
     """v and its ancestors in a BFS tree of parent links, the root last."""
     out = []
     while v is not None:
@@ -353,9 +349,10 @@ def farey_distance(
     """Distance and witness path between two slopes, exact for the whole graph.
 
     Distances 0/1/2 are decided by closed forms.  Otherwise a
-    bidirectional BFS runs over the endpoint box of the module docstring,
-    expanding the smaller frontier one full layer at a time; the first
-    layer after which the two visited sets intersect yields the distance.
+    bidirectional BFS runs over the keys of the endpoint box (module
+    docstring), expanding the smaller frontier one full layer at a time;
+    the first layer after which the two visited sets intersect yields the
+    distance.  Only the winning walk is decoded into slopes.
     When `upper` is given and no shorter path can exist the witness is
     returned as the answer.  Expanding more than `_MAX_NODES` vertices
     raises :class:`NoPathWithinCap` carrying `upper`, or else the walk
@@ -375,9 +372,10 @@ def farey_distance(
 
     upper_edges = upper.edges if upper is not None else None
     box = max(abs(a.p), a.q, abs(b.p), b.q)
-    src, dst = (a.p, a.q), (b.p, b.q)
-    prev_f: dict[tuple[int, int], tuple[int, int] | None] = {src: None}
-    prev_b: dict[tuple[int, int], tuple[int, int] | None] = {dst: None}
+    w = 2 * box + 1
+    src, dst = a.q * w + a.p + box, b.q * w + b.p + box
+    prev_f: dict[int, int | None] = {src: None}
+    prev_b: dict[int, int | None] = {dst: None}
     frontier_f, frontier_b = [src], [dst]
     radius_f = radius_b = 0
     expanded = 0
@@ -389,25 +387,26 @@ def farey_distance(
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         prev_here, prev_there = (prev_f, prev_b) if forward else (prev_b, prev_f)
-        next_frontier: list[tuple[int, int]] = []
-        for v in sorted(frontier, key=lambda t: (t[1], t[0])):
+        next_frontier: list[int] = []
+        for v in sorted(frontier):
             expanded += 1
             if expanded > _MAX_NODES:
                 give_up()
-            for w in _neighbor_tuples(v, box):
-                if w not in prev_here:
-                    prev_here[w] = v
-                    next_frontier.append(w)
+            for run in _neighbor_keys(*_key_pair(v, box), box):
+                for x in run:
+                    if x not in prev_here:
+                        prev_here[x] = v
+                        next_frontier.append(x)
         if forward:
             frontier_f, radius_f = next_frontier, radius_f + 1
         else:
             frontier_b, radius_b = next_frontier, radius_b + 1
-        meets = [w for w in next_frontier if w in prev_there]
+        meets = [x for x in next_frontier if x in prev_there]
         if meets:
             # Each meet joins its branches of the two BFS trees into a
-            # walk; the shortest wins, ties going to the smaller (q, p).
-            walks = {w: _branch(prev_f, w)[::-1] + _branch(prev_b, w)[1:] for w in meets}
-            meet = min(meets, key=lambda t: (len(walks[t]), t[1], t[0]))
-            path = SlopePath(tuple(Slope(p, q) for p, q in walks[meet]))
+            # walk; the shortest wins, ties going to the smaller key.
+            walks = {x: _branch(prev_f, x)[::-1] + _branch(prev_b, x)[1:] for x in meets}
+            meet = min(meets, key=lambda x: (len(walks[x]), x))
+            path = SlopePath(tuple(Slope(*_key_pair(x, box)) for x in walks[meet]))
             return path.edges, path
     raise AssertionError("unreachable: the endpoint box is connected")

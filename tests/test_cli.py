@@ -114,6 +114,14 @@ class TestLensBounds:
             "12002837166dac00183b1b4245f51dad0c18437db610f50573908a5ef374880f"
         )
 
+    def test_pinned_bytes_large_anchor(self, capsys):
+        # The anchor space of the lens-large benchmark workload.
+        code, out, _ = run(capsys, "lens-bounds", "8254", "5209")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "93934d623039bf0f670cb31210e6f12c0330c7d312b7290d349365733233586e"
+        )
+
 
 class TestBuild:
     def test_paper_build(self, capsys, tmp_path):

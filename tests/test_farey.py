@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -151,10 +152,11 @@ class TestNeighbors:
 
     def test_every_small_slope_and_cap_against_brute_force(self):
         """The closed-form runs match the scan for every slope with
-        |p|, q <= 12 at every cap from its complexity to 14."""
+        |p|, q <= 12 at every cap from 1 to 14, also the caps below the
+        slope's own complexity, such as 7/2 at cap 3 or 12/1 at cap 4."""
         for p, q in oracles.all_slopes(12):
             s = Slope(p, q)
-            for cap in range(max(abs(p), q), 15):
+            for cap in range(1, 15):
                 want = oracles.naive_neighbors((p, q), cap)
                 assert [(t.p, t.q) for t in neighbors(s, cap)] == want, (s, cap)
 
@@ -233,6 +235,20 @@ class TestDistance:
                 assert path.vertices[0] == Slope(*a) and path.vertices[-1] == Slope(*b)
                 box = max(abs(a[0]), a[1], abs(b[0]), b[1])
                 assert all(abs(v.p) <= box and v.q <= box for v in path.vertices), (a, b)
+
+    def test_walks_pinned_for_every_pair_in_box_9(self):
+        """Every walk between the 112 slopes with |p|, q <= 9, 10,348 of
+        them found by the search, byte for byte as the search on (p, q)
+        tuples with neighbours listed in sorted (q, p) order gave them."""
+        digest = hashlib.sha256()
+        verts = [Slope(*v) for v in oracles.all_slopes(9)]
+        for a in verts:
+            for b in verts:
+                _, path = farey_distance(a, b)
+                digest.update(f"{a} {b} {path}\n".encode())
+        assert digest.hexdigest() == (
+            "aa88ef72551686c3ee97a0e6e8e3ea4c6e884336c814df3546c3686ed4bc4563"
+        )
 
     def test_triangle_inequality_sampled(self):
         # every distance is exact for the whole graph, so it is a metric

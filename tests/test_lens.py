@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -95,6 +96,24 @@ class TestTwistedBound:
         res = twisted_bound(LensSpace(19, 18))
         assert res.n == 1
         assert res.representative == LensSpace(19, 1)
+
+    def test_search_sets_off_no_garbage_collection(self):
+        """The twisted search keys its trees by plain ints, which the
+        cyclic collector does not track, so a large search allocates
+        almost nothing that counts towards a collection."""
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            twisted_bound(normalize(8254, 5209))
+        finally:
+            gc.callbacks.remove(count)
+        assert len(starts) <= 2, starts
 
     def test_separation_recurrence_for_every_lens_space_to_150(self):
         """n is the shortest Farey distance from 1/0 over the
