@@ -18,8 +18,8 @@ while parallel steps cancel without contributing a summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .lens import LensSpace, twisted_bound, untwisted_bound
 from .farey import (
@@ -38,8 +38,12 @@ class PathMode(str, Enum):
     PARALLEL = "parallel"  # coordinates may also repeat (parallel step)
 
 
-@dataclass(frozen=True)
-class DualPath:
+class _DualPathFields(NamedTuple):
+    systems: tuple[CutSystem, ...]
+    mode: PathMode = PathMode.DUAL
+
+
+class DualPath(_DualPathFields):
     """A walk of cut systems, D_0 ... D_m, with the standard start.
 
     Structural sanity (nonempty, constant genus) is enforced here; the
@@ -47,18 +51,18 @@ class DualPath:
     that foreign input can be diagnosed rather than rejected opaquely.
     """
 
-    systems: tuple[CutSystem, ...]
-    mode: PathMode = PathMode.DUAL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.systems:
+    def __new__(cls, systems: tuple[CutSystem, ...], mode: PathMode = PathMode.DUAL):
+        if not systems:
             raise ValueError("a path needs at least one cut system")
-        genus = len(self.systems[0])
+        genus = len(systems[0])
         if genus < 1:
             raise ValueError("cut systems need at least one coordinate")
-        for sys_ in self.systems:
+        for sys_ in systems:
             if len(sys_) != genus:
                 raise ValueError("all cut systems must have the same genus")
+        return tuple.__new__(cls, (systems, mode))
 
     @property
     def genus(self) -> int:
@@ -77,8 +81,7 @@ class ViolationKind(str, Enum):
     PARALLEL_STEP = "parallel_step"  # a whole system repeats in parallel mode
 
 
-@dataclass(frozen=True)
-class PathViolation:
+class PathViolation(NamedTuple):
     step: int | None
     coordinate: int | None
     kind: ViolationKind
@@ -226,23 +229,20 @@ def path_product(parts: list[DualPath], mode: PathMode) -> DualPath:
     return product
 
 
-@dataclass(frozen=True)
-class BlueCurve:
+class BlueCurve(NamedTuple):
     copy: int
     coordinate: int
     slope: Slope
     reflected: bool
 
 
-@dataclass(frozen=True)
-class ScaffoldCurve:
+class ScaffoldCurve(NamedTuple):
     kind: str  # "longitude" | "meridian" | "bridge"
     location: int  # copy index, or gap index for bridges
     coordinate: int
 
 
-@dataclass(frozen=True)
-class TrisectionDiagram:
+class TrisectionDiagram(NamedTuple):
     """The unfolded surface: copies of the model surface with curves.
 
     Copy k (left to right) carries the blue layer with path index
@@ -297,16 +297,14 @@ def build_diagram(path: DualPath) -> TrisectionDiagram:
     )
 
 
-@dataclass(frozen=True)
-class KirbyCurve:
+class KirbyCurve(NamedTuple):
     layer: int  # 0 = innermost torus
     coordinate: int
     slope: Slope
     framing: int
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(NamedTuple):
     """The blue curves read as a framed link on nested tori.
 
     Curves are ordered layer-major, with layers D_1, ..., D_m,
@@ -346,8 +344,7 @@ def kirby_link(path: DualPath) -> FramedLink:
     return FramedLink(curves, tuple(matrix))
 
 
-@dataclass(frozen=True)
-class ConnectSum:
+class ConnectSum(NamedTuple):
     """Connect sum of sphere bundles, as raw counts plus a normal form.
 
     One twisted summand absorbs all the untwisted ones (the twisted and

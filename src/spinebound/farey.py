@@ -47,10 +47,9 @@ of the runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # How many vertices a single search may expand before giving up and
 # falling back to a walk that is only an upper bound.
@@ -81,8 +80,16 @@ class NoPathWithinCap(Exception):
         self.path = path
 
 
-@dataclass(frozen=True, slots=True)
-class Slope:
+# The package's records are named tuples.  A record with a condition to
+# keep checks it in the `__new__` of a subclass of its field tuple and
+# builds itself with `tuple.__new__`, as the field tuple's own
+# constructor does; `_make` and `_replace` skip the check.
+class _SlopeFields(NamedTuple):
+    p: int
+    q: int
+
+
+class Slope(_SlopeFields):
     """A reduced fraction p/q with q >= 1, or exactly 1/0.
 
     Antipodal integer pairs describe the same unoriented curve, so the
@@ -90,14 +97,14 @@ class Slope:
     :func:`canonical` to build one from an arbitrary integer pair.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise InvalidSlopeError(f"({self.p}, {self.q}) is not in canonical form")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidSlopeError(f"({self.p}, {self.q}) is not reduced")
+    def __new__(cls, p: int, q: int):
+        if q < 0 or (q == 0 and p != 1):
+            raise InvalidSlopeError(f"({p}, {q}) is not in canonical form")
+        if math.gcd(p, q) != 1:
+            raise InvalidSlopeError(f"({p}, {q}) is not reduced")
+        return tuple.__new__(cls, (p, q))
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -158,25 +165,29 @@ class PathKind(str, Enum):
     EVEN_FAREY = "even_farey"
 
 
-@dataclass(frozen=True)
-class SlopePath:
-    """A walk in the Farey graph: consecutive vertices are dual."""
-
+class _SlopePathFields(NamedTuple):
     vertices: tuple[Slope, ...]
     kind: PathKind = PathKind.FAREY
 
-    def __post_init__(self):
-        if not self.vertices:
+
+class SlopePath(_SlopePathFields):
+    """A walk in the Farey graph: consecutive vertices are dual."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[Slope, ...], kind: PathKind = PathKind.FAREY):
+        if not vertices:
             raise ValueError("a path needs at least one vertex")
-        for u, v in zip(self.vertices, self.vertices[1:]):
+        for u, v in zip(vertices, vertices[1:]):
             if u == v:
                 raise ValueError(f"consecutive vertices both equal {u}")
             if abs(farey_det(u, v)) != 1:
                 raise ValueError(f"consecutive slopes {u} and {v} are not dual")
-        if self.kind is PathKind.EVEN_FAREY:
-            for v in self.vertices:
+        if kind is PathKind.EVEN_FAREY:
+            for v in vertices:
                 if not is_even_vertex(v):
                     raise ValueError(f"{v} is not an even vertex")
+        return tuple.__new__(cls, (vertices, kind))
 
     @property
     def edges(self) -> int:

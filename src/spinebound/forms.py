@@ -62,9 +62,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 from .construct import ConnectSum, FramedLink, KirbyCurve
 from .farey import farey_det
@@ -74,8 +73,7 @@ class CongruenceError(ValueError):
     """The slopes give no congruence that makes the matrix block tridiagonal."""
 
 
-@dataclass(frozen=True)
-class TridiagonalForm:
+class TridiagonalForm(NamedTuple):
     """A form congruent to T = P^T M P: irreducible tridiagonal blocks.
 
     Each block is given by its diagonal; its off-diagonal entries are
@@ -86,9 +84,10 @@ class TridiagonalForm:
     blocks: tuple[tuple[int, ...], ...]
     radical: int = 0
 
-    @cached_property
+    @property
     def minors(self) -> tuple[tuple[int, ...], ...]:
-        """Each block's leading minors d_1 .. d_L, as continuants."""
+        """Each block's leading minors d_1 .. d_L, as continuants, computed
+        on each read."""
         out = []
         for diagonal in self.blocks:
             ds = []
@@ -192,16 +191,16 @@ def smith_normal_form(form: TridiagonalForm) -> list[int]:
     Pairwise gcd/lcm in selection-sort order sorts each prime's exponents
     among the blocks' last divisors, which makes them a divisibility chain.
     """
-    ends = [abs(ds[-1]) for ds in form.minors if ds[-1]]
+    minors = form.minors
+    ends = [abs(ds[-1]) for ds in minors if ds[-1]]
     for i in range(len(ends)):
         for j in range(i + 1, len(ends)):
             g = math.gcd(ends[i], ends[j])
             ends[i], ends[j] = g, ends[i] * ends[j] // g
-    return [1] * sum(len(ds) - 1 for ds in form.minors) + ends
+    return [1] * sum(len(ds) - 1 for ds in minors) + ends
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(NamedTuple):
     rank: int
     determinant: int
     signature: int
@@ -241,8 +240,7 @@ def identify(inv: FormInvariants) -> ConnectSum | None:
     return ConnectSum(0, n)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     ok: bool
     invariants: FormInvariants | None  # None when the congruence fails
     classified: ConnectSum

@@ -9,17 +9,17 @@ bound minimizes over all homeomorphism representatives in the full graph,
 by a search that is exact for the whole graph unless it passes its node
 budget.  The untwisted bound does the same in the even subgraph, where
 every summand split off is S2 x S2; its distances have a closed form,
-exact for the whole even graph.  Parent traces step on integer pairs,
-and the bound table picks each class's smallest q from the integers q,
-p - q, q^-1 and p - q^-1 (mod p), with no `LensSpace` per representative.
+exact for the whole even graph.  Parent traces step on integer pairs.
+The representatives are the integers q, p - q, q^-1 and p - q^-1
+(mod p): a bound tries them with no `LensSpace` but the winner's, and
+the bound table picks each class's smallest q from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 # even_trace is not called here; it stays importable as lens.even_trace,
 # which perfbench/spans.py wraps next to the two distance engines.
@@ -30,15 +30,19 @@ from .farey import (
     NoPathWithinCap,
     Slope,
     SlopePath,
+    _is_even_pair,
     _mediant_step,
     farey_distance,
-    is_even_vertex,
     parent_trace,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class LensSpace:
+class _LensSpaceFields(NamedTuple):
+    p: int
+    q: int
+
+
+class LensSpace(_LensSpaceFields):
     """L(p, q) with p >= 2 and 1 <= q < p coprime to p.
 
     p = 0 and p = 1 (the sphere and S1 x S2) are rejected: they are not
@@ -46,16 +50,16 @@ class LensSpace:
     distance >= 2 targets.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"L({self.p}, {self.q}): need p >= 2")
-        if not 1 <= self.q < self.p:
-            raise ValueError(f"L({self.p}, {self.q}): need 1 <= q < p")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"L({self.p}, {self.q}) is not a lens space (gcd > 1)")
+    def __new__(cls, p: int, q: int):
+        if p < 2:
+            raise ValueError(f"L({p}, {q}): need p >= 2")
+        if not 1 <= q < p:
+            raise ValueError(f"L({p}, {q}): need 1 <= q < p")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"L({p}, {q}) is not a lens space (gcd > 1)")
+        return tuple.__new__(cls, (p, q))
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
@@ -68,24 +72,28 @@ class Exactness(str, Enum):
     UPPER_BOUND = "upper_bound"  # twisted only: a parent-trace witness; the search passed its budget
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class _BoundResultFields(NamedTuple):
+    n: int
+    path: SlopePath
+    representative: LensSpace
+    exactness: Exactness
+
+
+class BoundResult(_BoundResultFields):
     """Summand-count bound with its witness walk.
 
     The walk always starts 0/1, 1/0, ... as the diagram construction
     requires, and n equals its edge count minus one.
     """
 
-    n: int
-    path: SlopePath
-    representative: LensSpace
-    exactness: Exactness
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n != self.path.edges - 1:
+    def __new__(cls, n: int, path: SlopePath, representative: LensSpace, exactness: Exactness):
+        if n != path.edges - 1:
             raise ValueError("n must be one less than the walk's edge count")
-        if self.path.vertices[0] != MERIDIAN or self.path.vertices[1] != LONGITUDE:
+        if path.vertices[0] != MERIDIAN or path.vertices[1] != LONGITUDE:
             raise ValueError("bound walks must start 0/1, 1/0")
+        return tuple.__new__(cls, (n, path, representative, exactness))
 
 
 def normalize(p: int, q: int) -> LensSpace:
@@ -127,22 +135,31 @@ _Walk = tuple[int, SlopePath, Exactness]
 
 def _best_bound(lens: LensSpace, walk: Callable[[Slope], _Walk], *, even: bool) -> BoundResult:
     """The shortest `walk` from 1/0 over the lens space's representatives,
-    prefixed with 0/1; in the even graph only even targets are tried."""
-    best: BoundResult | None = None
-    for rep in sorted(equivalent_reps(lens), key=lambda r: r.q):
-        target = Slope(rep.p, rep.q)
-        if even and not is_even_vertex(target):
+    prefixed with 0/1; in the even graph only even targets are tried.
+
+    Representatives are tried by ascending q, a strictly shorter walk
+    wins, and n = 1 stops the search.
+    """
+    best: tuple[int, SlopePath, Exactness, int] | None = None
+    for q in sorted(set(_rep_qs(lens.p, lens.q))):
+        if even and not _is_even_pair(lens.p, q):
             continue
-        d, path, exactness = walk(target)
-        if best is None or d < best.n:
-            best = BoundResult(d, SlopePath((MERIDIAN,) + path.vertices, path.kind), rep, exactness)
-        if best.n == 1:
+        d, path, exactness = walk(Slope(lens.p, q))
+        if best is None or d < best[0]:
+            best = d, path, exactness, q
+        if best[0] == 1:
             break
     if best is None:
         # Unreachable: p even makes every q' odd, p odd makes one of
         # q', p - q' even, so an even representative always exists.
         raise RuntimeError(f"no even representative for {lens}")
-    return best
+    d, path, exactness, q = best
+    # `path` is a SlopePath from 1/0, so its edges and, for an even walk,
+    # its vertices are checked.  The one new edge, 0/1 -- 1/0, is dual
+    # and 0/1 is even, so the prefixed walk is built unchecked;
+    # BoundResult still checks the prefix and n.
+    prefixed = SlopePath._make(((MERIDIAN,) + path.vertices, path.kind))
+    return BoundResult(d, prefixed, LensSpace(lens.p, q), exactness)
 
 
 def twisted_bound(lens: LensSpace) -> BoundResult:
@@ -178,8 +195,7 @@ def untwisted_bound(lens: LensSpace) -> BoundResult:
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     lens: LensSpace
     twisted: BoundResult
     untwisted: BoundResult

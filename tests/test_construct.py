@@ -120,6 +120,13 @@ class TestPathProduct:
             path_product([], PathMode.DUAL)
 
 
+class TestDualPath:
+    def test_constructor_rejects_malformed_systems(self):
+        for systems in ((), ((),), ((MERIDIAN,), (LONGITUDE, LONGITUDE))):
+            with pytest.raises(ValueError):
+                DualPath(systems)
+
+
 class TestValidatePath:
     def test_constructed_paths_are_valid(self):
         assert validate_path(PAPER_72) == []

@@ -49,7 +49,19 @@ class TestCanonical:
         with pytest.raises(InvalidSlopeError):
             Slope(3, -1)
         with pytest.raises(InvalidSlopeError):
+            Slope(1, -1)
+        with pytest.raises(InvalidSlopeError):
             Slope(0, 0)
+
+    def test_record_repr_and_hash(self):
+        """A slope is a named tuple: its repr names the fields and it hashes
+        as the tuple of its fields, so set and dict orders are kept."""
+        assert repr(Slope(7, 2)) == "Slope(p=7, q=2)"
+        assert Slope(q=2, p=7) == Slope(7, 2)
+        assert hash(Slope(7, 2)) == hash((7, 2))
+        assert repr(SlopePath((Slope(0, 1),))) == (
+            "SlopePath(vertices=(Slope(p=0, q=1),), kind=<PathKind.FAREY: 'farey'>)"
+        )
 
     def test_idempotent_and_antipodal(self):
         rng = random.Random(1)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -169,7 +168,7 @@ class TestCongruence:
 
     def test_non_dual_curves(self):
         curves = list(kirby_link(path_from_lens(LensSpace(7, 2), "any")).curves)
-        curves[2] = dataclasses.replace(curves[2], slope=canonical(7, 3))
+        curves[2] = curves[2]._replace(slope=canonical(7, 3))
         with pytest.raises(CongruenceError, match="curves 1 and 2 are neither equal nor dual"):
             congruence(curves)
         with pytest.raises(CongruenceError, match="curves 1 and 2 are neither equal nor dual"):
@@ -178,7 +177,7 @@ class TestCongruence:
     def test_non_unit_neighbour_entry(self):
         """A kept curve not dual to the one before it: both paths name the entry."""
         curves = list(kirby_link(path_from_lens(LensSpace(7, 2), "any")).curves)[:3]
-        curves[2] = dataclasses.replace(curves[2], slope=canonical(5, 1))  # det(5/1, 3/1) = 2
+        curves[2] = curves[2]._replace(slope=canonical(5, 1))  # det(5/1, 3/1) = 2
         rows = [[curves[min(a, b)].slope.p * curves[max(a, b)].slope.q for b in range(3)] for a in range(3)]
         for certify in (congruence, lambda cs: oracles.dense_congruence(rows, cs)):
             with pytest.raises(CongruenceError, match=r"entry \(1, 2\) is -?2, expected \+-1"):

@@ -6,12 +6,14 @@ import pytest
 
 import oracles
 from spinebound import (
+    BoundResult,
     Exactness,
     LONGITUDE,
     LensSpace,
     MERIDIAN,
     PathKind,
     Slope,
+    SlopePath,
     equivalent_reps,
     even_trace,
     is_even_vertex,
@@ -41,6 +43,22 @@ class TestNormalize:
     def test_multiple_of_p_rejected(self):
         with pytest.raises(ValueError):
             normalize(5, 10)
+
+
+class TestRecordChecks:
+    def test_lens_space_constructor_rejects(self):
+        for p, q in ((8, 2), (1, 0), (7, 0), (7, 7)):
+            with pytest.raises(ValueError):
+                LensSpace(p, q)
+
+    def test_bound_result_checks_n_and_prefix(self):
+        walk = SlopePath((MERIDIAN, LONGITUDE, Slope(7, 1)))
+        assert BoundResult(1, walk, LensSpace(7, 1), Exactness.CERTIFIED).n == 1
+        with pytest.raises(ValueError):
+            BoundResult(2, walk, LensSpace(7, 1), Exactness.CERTIFIED)
+        with pytest.raises(ValueError):
+            BoundResult(1, SlopePath((LONGITUDE, MERIDIAN, Slope(1, 1))), LensSpace(7, 1),
+                        Exactness.CERTIFIED)
 
 
 class TestEquivalentReps:

@@ -3,9 +3,10 @@
 `lens-bounds`, `table` and `dist` need `farey`, `evenfarey` and `lens`.
 `diagrams`, the diagram-file half of the CLI, loads on the first `build`,
 `render` or `verify`; `construct` loads with `build` and `verify`, and
-`forms` with `verify`, or either on a name read from the package.  Each
-check runs in a fresh interpreter, since the test session has imported
-every module already."""
+`forms` with `verify`, or either on a name read from the package.  The
+records are named tuples, so no command loads `dataclasses`, or the
+`inspect` that it imports.  Each check runs in a fresh interpreter, since
+the test session has imported every module already."""
 
 import json
 import os
@@ -62,6 +63,8 @@ def run_fresh(script: str, *args: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# After each command: its exit code, the package modules loaded, and which
+# of the record-building standard modules are loaded.
 COMMANDS = """
 import contextlib, io, json, sys
 import spinebound.cli
@@ -70,7 +73,8 @@ loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = spinebound.cli.main(argv)
-    loaded.append((code, sorted(m for m in sys.modules if m.startswith("spinebound"))))
+    package = sorted(m for m in sys.modules if m.startswith("spinebound"))
+    loaded.append((code, package, [m for m in ("dataclasses", "inspect") if m in sys.modules]))
 print(json.dumps(loaded))
 """
 
@@ -87,9 +91,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     ]
     loaded = run_fresh(COMMANDS, json.dumps(commands))
     built = sorted(BOUND_MODULES + ["spinebound.construct", "spinebound.diagrams"])
-    assert loaded[:4] == [[0, BOUND_MODULES]] * 4
-    assert loaded[4] == [0, built]
-    assert loaded[5] == [0, sorted(built + ["spinebound.forms"])]
+    assert loaded[:4] == [[0, BOUND_MODULES, []]] * 4
+    assert loaded[4] == [0, built, []]
+    assert loaded[5] == [0, sorted(built + ["spinebound.forms"]), []]
 
 
 def test_render_loads_neither_construct_nor_forms(tmp_path):
@@ -97,7 +101,7 @@ def test_render_loads_neither_construct_nor_forms(tmp_path):
     diagram, svg = str(tmp_path / "d.json"), str(tmp_path / "d.svg")
     assert run_fresh(COMMANDS, json.dumps([["build", "7", "2", "--out", diagram]]))[0][0] == 0
     loaded = run_fresh(COMMANDS, json.dumps([["render", diagram, svg]]))
-    assert loaded == [[0, sorted(BOUND_MODULES + ["spinebound.diagrams"])]]
+    assert loaded == [[0, sorted(BOUND_MODULES + ["spinebound.diagrams"]), []]]
 
 
 RESOLVE = """
