@@ -18,6 +18,7 @@ while parallel steps cancel without contributing a summand.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
@@ -310,38 +311,52 @@ class FramedLink(NamedTuple):
     Curves are ordered layer-major, with layers D_1, ..., D_m,
     D_{m-1}, ..., D_2 from the innermost torus outwards.  Two curves in
     the same coordinate on layers a < b link p_a * q_b times; distinct
-    coordinates never link; the diagonal holds the framings p * q.
+    coordinates never link; the diagonal holds the framings p * q.  The
+    record holds the curves only: `rows` computes the linking matrix one
+    row at a time, and `linking_matrix` all of it.
     """
 
     curves: tuple[KirbyCurve, ...]
-    linking_matrix: tuple[tuple[int, ...], ...]
+
+    def rows(self) -> Iterator[list[int]]:
+        """The rows of the linking matrix, in curve order.
+
+        Curve r = pos*g + j lies on layer pos in coordinate j, so row r is
+        zero outside the columns j, j + g, ...: there it holds p_c * q_r for
+        the curves c inside layer pos and p_r * q_c from r outwards, the
+        framing p_r * q_r included.
+        """
+        curves = self.curves
+        g = len({c.coordinate for c in curves})
+        columns = [
+            ([c.slope.p for c in curves[j::g]], [c.slope.q for c in curves[j::g]]) for j in range(g)
+        ]
+        for c in curves:
+            ps, qs = columns[c.coordinate]
+            p, q, pos = c.slope.p, c.slope.q, c.layer
+            row = [0] * len(curves)
+            row[c.coordinate :: g] = [x * q for x in ps[:pos]] + [p * y for y in qs[pos:]]
+            yield row
+
+    @property
+    def linking_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The whole linking matrix, computed on each read."""
+        return tuple(map(tuple, self.rows()))
 
 
 def kirby_link(path: DualPath) -> FramedLink:
-    """Framed link and linking matrix for a walk.
-
-    Curve r = pos*g + j lies on layer pos in coordinate j, so row r is
-    zero outside the columns j, j + g, ...: there it holds p_c * q_r for
-    the curves c inside layer pos and p_r * q_c from r outwards, the
-    framing p_r * q_r included.
-    """
+    """The framed link of a walk: one curve per slope of each layer, the
+    (p, q) curve framed by p * q."""
     _check_steps(path)
-    g, m = path.genus, path.steps
+    m = path.steps
     layers = [path.systems[i] for i in [*range(1, m + 1), *range(m - 1, 1, -1)]]
-    curves = tuple(
-        KirbyCurve(pos, j, s, s.p * s.q)
-        for pos, system in enumerate(layers)
-        for j, s in enumerate(system)
+    return FramedLink(
+        tuple(
+            KirbyCurve(pos, j, s, s.p * s.q)
+            for pos, system in enumerate(layers)
+            for j, s in enumerate(system)
+        )
     )
-    columns = [([s[j].p for s in layers], [s[j].q for s in layers]) for j in range(g)]
-    matrix = []
-    for c in curves:
-        ps, qs = columns[c.coordinate]
-        p, q, pos = c.slope.p, c.slope.q, c.layer
-        row = [0] * len(curves)
-        row[c.coordinate :: g] = [x * q for x in ps[:pos]] + [p * y for y in qs[pos:]]
-        matrix.append(tuple(row))
-    return FramedLink(curves, tuple(matrix))
 
 
 class ConnectSum(NamedTuple):

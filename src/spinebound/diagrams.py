@@ -4,9 +4,12 @@
 commands (`dist`, `lens-bounds`, `table`) start without it, and `render`
 loads neither `construct` nor `forms`.  Exit codes are those of `cli`.
 
-A failing `verify` prints one `FAIL` line for each top-level key of the
-recomputed diagram whose value differs, naming the first differing JSON
-path in document order with both values:
+`verify` decodes the walk where `build` writes it and recomputes the
+file's text: equal bytes verify once the form invariants agree.  Any
+other file verifies when it equals the recomputed document as JSON; else
+`verify` prints one `FAIL` line for each top-level key of the recomputed
+diagram whose value differs, naming the first differing JSON path in
+document order with both values:
 
     FAIL kirby.linking_matrix[0][1]: file says 2, recomputed 1
     FAIL kirby.curves[2].framing: file says 13, recomputed 14
@@ -24,9 +27,9 @@ lines instead, and a form invariant that disagrees a `FAIL forms:` line.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -41,27 +44,30 @@ if TYPE_CHECKING:
 _JSON_INT_LIMIT = 2**53 - 1
 
 
-def _pack_int(n: int):
-    """Ints beyond the float53 range travel as decimal strings; a ValueError
-    when one passes Python's limit on the digits of int-to-string."""
-    if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT:
-        return n
+def _pack_int(n: int) -> str:
+    """The JSON of `n`, a string beyond the float53 range; a ValueError
+    when `n` passes Python's limit on the digits of int-to-string."""
     try:
-        return str(n)
+        text = str(n)
     except ValueError:
         raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    return text if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else f'"{text}"'
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _unpack_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"expected an integer field, got {v!r}")
-    return int(v)
+    """A JSON integer, or a string of decimal digits as `_pack_int` writes one."""
+    if type(v) is int or (type(v) is str and _DECIMAL.fullmatch(v)):
+        return int(v)
+    raise ValueError(f"expected an integer field, got {v!r}")
 
 
 def _expect(v, kind: type, what: str):
-    """`v` if it is a JSON object (kind dict) or list, else a ValueError."""
+    """`v` if it is a JSON object (kind dict), list or boolean, else a ValueError."""
     if not isinstance(v, kind):
-        name = "an object" if kind is dict else "a list"
+        name = {dict: "an object", list: "a list", bool: "a boolean"}[kind]
         raise ValueError(f"expected {what} to be {name}, got {type(v).__name__}")
     return v
 
@@ -134,24 +140,13 @@ def _difference(where: str, got, want) -> str | None:
     return f"{where}: {_said(got)}, recomputed {_recomputed(want)}"
 
 
-def _slope_doc(s: Slope) -> dict:
-    return {"p": _pack_int(s.p), "q": _pack_int(s.q)}
-
-
 def _slope_from_doc(doc) -> Slope:
     doc = _expect(doc, dict, "a slope")
     return Slope(_unpack_int(doc["p"]), _unpack_int(doc["q"]))
 
 
-def _path_doc(path: construct.DualPath) -> dict:
-    return {
-        "mode": path.mode.value,
-        "systems": [[_slope_doc(s) for s in sys_] for sys_ in path.systems],
-    }
-
-
 def _path_from_doc(doc) -> construct.DualPath:
-    from . import construct  # here and in build and verify, so render runs without it
+    from . import construct  # in the functions, so render runs without it
 
     doc = _expect(doc, dict, "the walk")
     mode = construct.PathMode(doc["mode"])
@@ -165,131 +160,62 @@ def _path_from_doc(doc) -> construct.DualPath:
 _DIAGRAM_VERSION = 1
 
 
-def _diagram_doc(
-    diagram: construct.TrisectionDiagram,
-    link: construct.FramedLink,
-    csum: construct.ConnectSum,
-) -> dict:
-    return {
-        "version": _DIAGRAM_VERSION,
-        "genus_per_copy": diagram.genus_per_copy,
-        "num_copies": diagram.num_copies,
-        "path": _path_doc(diagram.path),
-        "blue": [
-            {
-                "copy": c.copy,
-                "coordinate": c.coordinate,
-                "slope": _slope_doc(c.slope),
-                "reflected": c.reflected,
-            }
-            for c in diagram.blue
-        ],
-        "red": [
-            {"kind": c.kind, "location": c.location, "coordinate": c.coordinate}
-            for c in diagram.red
-        ],
-        "green": [
-            {"kind": c.kind, "location": c.location, "coordinate": c.coordinate}
-            for c in diagram.green
-        ],
-        "kirby": {
-            "curves": [
-                {
-                    "layer": c.layer,
-                    "coordinate": c.coordinate,
-                    "slope": _slope_doc(c.slope),
-                    "framing": _pack_int(c.framing),
-                }
-                for c in link.curves
-            ],
-            "linking_matrix": _matrix_doc(link),
-        },
-        "classification": {
-            "raw_untwisted": csum.raw_untwisted,
-            "raw_twisted": csum.raw_twisted,
-            "normal_form": csum.normal_form,
-        },
-        "stats": {
-            "total_genus": diagram.total_genus,
-            "ball_count": diagram.ball_count,
-            # Minimal genus exactly when no coordinate step past D_1 is parallel.
-            "minimal": diagram.total_genus == 2 * csum.total,
-        },
-    }
+def _slope_text(s: Slope, indent: str) -> str:
+    """A slope object, its braces at `indent`."""
+    return f'{{\n{indent}  "p": {_pack_int(s.p)},\n{indent}  "q": {_pack_int(s.q)}\n{indent}}}'
 
 
-def _matrix_doc(link: construct.FramedLink) -> list[list]:
-    """The linking matrix as rows of `_pack_int`, each row copied whole when
-    max |p| * max q over the curves, a bound on every entry p_a * q_b, fits."""
+def _diagram_text(
+    diagram: construct.TrisectionDiagram, link: construct.FramedLink, csum: construct.ConnectSum
+) -> str:
+    """A valid walk's diagram file, as `json.dumps(doc, indent=2) + "\n"`
+    spells its document.  Integers go through `_pack_int`, but a matrix
+    row is written whole when max |p| * max q, a bound on its entries, fits.
+    """
+    systems = ",\n".join(
+        "      [\n" + ",\n".join(f"        {_slope_text(s, '        ')}" for s in system) + "\n      ]"
+        for system in diagram.path.systems
+    )
+    blue = ",\n".join(
+        f'    {{\n      "copy": {c.copy},\n      "coordinate": {c.coordinate},\n'
+        f'      "slope": {_slope_text(c.slope, "      ")},\n'
+        f'      "reflected": {"true" if c.reflected else "false"}\n    }}'
+        for c in diagram.blue
+    )
+    red, green = (
+        ",\n".join(
+            f'    {{\n      "kind": "{c.kind}",\n      "location": {c.location},\n'
+            f'      "coordinate": {c.coordinate}\n    }}'
+            for c in scaffold
+        )
+        for scaffold in (diagram.red, diagram.green)
+    )
+    curves = ",\n".join(
+        f'      {{\n        "layer": {c.layer},\n        "coordinate": {c.coordinate},\n'
+        f'        "slope": {_slope_text(c.slope, "        ")},\n'
+        f'        "framing": {_pack_int(c.framing)}\n      }}'
+        for c in link.curves
+    )
     p = max(abs(c.slope.p) for c in link.curves)
     q = max(c.slope.q for c in link.curves)
-    if p * q <= _JSON_INT_LIMIT:
-        return [list(row) for row in link.linking_matrix]
-    return [[_pack_int(x) for x in row] for row in link.linking_matrix]
-
-
-_ESCAPE = json.encoder.encode_basestring_ascii
-# The JSON text of every scalar type but float, which `json.dumps` spells.
-_SCALARS = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda v: "null",
-}
-
-
-def _dump_json(doc) -> str:
-    """`json.dumps(doc, indent=2) + "\n"`, byte for byte, for any JSON value.
-
-    CPython's C encoder runs only when `indent` is None, so `json.dumps`
-    with an indent encodes every diagram in pure Python and gives each
-    linking-matrix entry its own call.  Here strings and keys go through
-    the C escaper, a list of plain ints (not bools) is one list repr, and
-    a scalar is written in the same string as its key or separator.
-    """
-    out: list[str] = []
-    _encode(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(v, newline: str, out: list[str]) -> None:
-    """Append the indent-2 JSON text of `v`, nested after `newline`, to `out`."""
-    kind = type(v)
-    if kind not in (dict, list, tuple):
-        out.append(_SCALARS.get(kind, json.dumps)(v))
-        return
-    if not v:
-        out.append("{}" if kind is dict else "[]")
-        return
-    inner = newline + "  "
-    if kind is dict:
-        sep, heads, close = "{" + inner, [_ESCAPE(k) + ": " for k in v], newline + "}"
-        v = v.values()
-    elif set(map(type, v)) == {int}:  # repr spells a list of plain ints as JSON does
-        out.append("[" + inner + repr(list(v))[1:-1].replace(", ", "," + inner) + newline + "]")
-        return
-    else:
-        sep, heads, close = "[" + inner, itertools.repeat(""), newline + "]"
-    for head, x in zip(heads, v):
-        scalar = _SCALARS.get(type(x))
-        if scalar is None:
-            out.append(sep + head)
-            _encode(x, inner, out)
-        else:
-            out.append(sep + head + scalar(x))
-        sep = "," + inner
-    out.append(close)
-
-
-def _load_path_file(path_file: str) -> construct.DualPath:
-    """The walk in `path_file`.  JSON nested too deeply for the decoder
-    raises RecursionError, which is read as a ValueError."""
-    try:
-        doc = json.loads(Path(path_file).read_text())
-    except RecursionError as exc:
-        raise ValueError(exc) from None
-    return _path_from_doc(doc)
+    entry = str if p * q <= _JSON_INT_LIMIT else _pack_int
+    matrix = ",\n".join(
+        "      [\n        " + ",\n        ".join(map(entry, row)) + "\n      ]" for row in link.rows()
+    )
+    # Minimal genus exactly when no coordinate step past D_1 is parallel.
+    minimal = "true" if diagram.total_genus == 2 * csum.total else "false"
+    return (
+        f'{{\n  "version": {_DIAGRAM_VERSION},\n  "genus_per_copy": {diagram.genus_per_copy},\n'
+        f'  "num_copies": {diagram.num_copies},\n'
+        f'  "path": {{\n    "mode": "{diagram.path.mode.value}",\n    "systems": [\n{systems}\n    ]\n  }},\n'
+        f'  "blue": [\n{blue}\n  ],\n  "red": [\n{red}\n  ],\n  "green": [\n{green}\n  ],\n'
+        f'  "kirby": {{\n    "curves": [\n{curves}\n    ],\n    "linking_matrix": [\n{matrix}\n    ]\n  }},\n'
+        f'  "classification": {{\n    "raw_untwisted": {csum.raw_untwisted},\n'
+        f'    "raw_twisted": {csum.raw_twisted},\n    "normal_form": "{csum.normal_form}"\n  }},\n'
+        f'  "stats": {{\n    "total_genus": {diagram.total_genus},\n'
+        f'    "ball_count": {"null" if diagram.ball_count is None else diagram.ball_count},\n'
+        f'    "minimal": {minimal}\n  }}\n}}\n'
+    )
 
 
 def build(args) -> int:
@@ -306,8 +232,8 @@ def build(args) -> int:
             print(f"error: --path-file takes no {', '.join(given)}", file=sys.stderr)
             return _EXIT_INPUT
         try:
-            path = _load_path_file(args.path_file)
-        except (OSError, ValueError, KeyError, InvalidSlopeError) as exc:
+            path = _path_from_doc(json.loads(Path(args.path_file).read_text()))
+        except (OSError, ValueError, KeyError, RecursionError) as exc:
             print(f"error: cannot read walk: {exc}", file=sys.stderr)
             return _EXIT_INPUT
         violations = construct.validate_path(path)
@@ -329,7 +255,7 @@ def build(args) -> int:
     link = construct.kirby_link(path)
     csum = construct.classify(path)
     try:
-        Path(args.out).write_text(_dump_json(_diagram_doc(diagram, link, csum)))
+        Path(args.out).write_text(_diagram_text(diagram, link, csum))
     except (OSError, ValueError) as exc:  # ValueError: an integer too long to write
         return _cannot_write(args.out, exc)
     print(f"genus {diagram.total_genus} {csum.normal_form}")
@@ -453,7 +379,8 @@ def _render_svg(doc: dict) -> str:
     for rec in blue:
         copy = copy_index(rec["copy"])
         slope = _slope_from_doc(rec["slope"])
-        curves.append((copy, -slope.p if rec["reflected"] else slope.p, slope.q))
+        reflected = _expect(rec["reflected"], bool, '"reflected"')
+        curves.append((copy, -slope.p if reflected else slope.p, slope.q))
     lines = sum(_blue_lines(p, q) for _, p, q in curves)
     if lines > _MAX_BLUE_LINES:
         raise _TooLarge(f"the blue curves need {lines} lines, above the limit of {_MAX_BLUE_LINES}")
@@ -506,11 +433,20 @@ def _render_svg(doc: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _load_diagram(file: str) -> dict | None:
-    """The diagram document in `file`, or None after an error on stderr."""
+def _read_diagram(file: str) -> str | None:
+    """The text of `file`, or None after an error on stderr."""
     try:
-        doc = json.loads(Path(file).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+        return Path(file).read_text()
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read diagram: {exc}", file=sys.stderr)
+        return None
+
+
+def _load_diagram(text: str) -> dict | None:
+    """The diagram document in `text`, or None after an error on stderr."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         print(f"error: cannot read diagram: {exc}", file=sys.stderr)
         return None
     if not isinstance(doc, dict):
@@ -528,7 +464,8 @@ def _load_diagram(file: str) -> dict | None:
 
 def render(args) -> int:
     """`render`: draw a genus-1 diagram file as SVG."""
-    doc = _load_diagram(args.input)
+    text = _read_diagram(args.input)
+    doc = None if text is None else _load_diagram(text)
     if doc is None:
         return _EXIT_INPUT
     try:
@@ -554,40 +491,71 @@ def render(args) -> int:
     return _EXIT_OK
 
 
+def _recompute(path: construct.DualPath):
+    """The diagram text, framed link and connect sum of a valid walk."""
+    from . import construct
+
+    link, csum = construct.kirby_link(path), construct.classify(path)
+    return _diagram_text(construct.build_diagram(path), link, csum), link, csum
+
+
+_PATH_KEY = '\n  "path": '
+
+
+def _written_walk(text: str) -> construct.DualPath | None:
+    """The walk decoded where `build` writes it in a diagram file, or None."""
+    start = text.find(_PATH_KEY)
+    if start < 0:
+        return None
+    try:
+        return _path_from_doc(json.JSONDecoder().raw_decode(text, start + len(_PATH_KEY))[0])
+    except (ValueError, KeyError, RecursionError):
+        return None
+
+
 def verify(args) -> int:
     """`verify`: recompute a diagram file from its walk and compare."""
     from . import construct, forms
 
-    doc = _load_diagram(args.input)
-    if doc is None:
+    text = _read_diagram(args.input)
+    if text is None:
         return _EXIT_INPUT
-    try:
-        path = _path_from_doc(doc["path"])
-    except (ValueError, KeyError, InvalidSlopeError) as exc:
-        print(f"error: cannot read diagram: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-
-    problems: list[str] = []
-    violations = construct.validate_path(path)
-    for v in violations:
-        problems.append(f"walk: {v}")
-    if not violations:
-        diagram = construct.build_diagram(path)
-        link = construct.kirby_link(path)
-        csum = construct.classify(path)
+    recomputed = None
+    walk = _written_walk(text)
+    if walk is not None and not construct.validate_path(walk):
         try:
-            expected = _diagram_doc(diagram, link, csum)
-        except ValueError as exc:  # an integer too long to write
-            print(f"error: cannot recompute the diagram: {exc}", file=sys.stderr)
+            recomputed, link, csum = _recompute(walk)
+        except ValueError:  # an integer too long to write, reported below
+            pass
+    problems: list[str] = []
+    if recomputed != text:
+        doc = _load_diagram(text)
+        if doc is None:
             return _EXIT_INPUT
+        try:
+            path = _path_from_doc(doc["path"])
+        except (ValueError, KeyError) as exc:
+            print(f"error: cannot read diagram: {exc}", file=sys.stderr)
+            return _EXIT_INPUT
+        if recomputed is None or path != walk:
+            violations = construct.validate_path(path)
+            if violations:
+                for v in violations:
+                    print(f"FAIL walk: {v}")
+                return _EXIT_VERIFY
+            try:
+                recomputed, link, csum = _recompute(path)
+            except ValueError as exc:
+                print(f"error: cannot recompute the diagram: {exc}", file=sys.stderr)
+                return _EXIT_INPUT
+        expected = json.loads(recomputed)
         problems.extend(f"unknown key {json.dumps(k)}" for k in doc if k not in expected)
         for key, want in expected.items():
             difference = _difference(key, doc.get(key, _MISSING), want)
             if difference:
                 problems.append(difference)
-        report = forms.consistency_check(link, csum)
-        if not report.ok:
-            problems.extend(f"forms: {f}" for f in report.failures)
+    report = forms.consistency_check(link, csum)
+    problems.extend(f"forms: {f}" for f in report.failures)
     if problems:
         for line in problems:
             print(f"FAIL {line}")

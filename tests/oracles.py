@@ -171,6 +171,81 @@ def blue_layer_path(diagram, mode):
     return DualPath(tuple(systems), mode)
 
 
+def linking_matrix(curves):
+    """The dense linking matrix of a framed link's curves, row by row: the
+    curves of one coordinate on layers a <= b link p_a * q_b times."""
+    g = len({c.coordinate for c in curves})
+    layers = [curves[i : i + g] for i in range(0, len(curves), g)]
+    columns = [([s[j].slope.p for s in layers], [s[j].slope.q for s in layers]) for j in range(g)]
+    matrix = []
+    for c in curves:
+        ps, qs = columns[c.coordinate]
+        p, q, pos = c.slope.p, c.slope.q, c.layer
+        row = [0] * len(curves)
+        row[c.coordinate :: g] = [x * q for x in ps[:pos]] + [p * y for y in qs[pos:]]
+        matrix.append(tuple(row))
+    return tuple(matrix)
+
+
+def _packed(n):
+    """An integer as a diagram file holds it: a string beyond the float53 range."""
+    return n if abs(n) <= 2**53 - 1 else str(n)
+
+
+def diagram_doc(diagram, link, csum):
+    """The JSON document of a diagram file, as a dict: the file's bytes are
+    `json.dumps(diagram_doc(...), indent=2) + "\n"`."""
+
+    def slope(s):
+        return {"p": _packed(s.p), "q": _packed(s.q)}
+
+    def scaffold(curves):
+        return [{"kind": c.kind, "location": c.location, "coordinate": c.coordinate} for c in curves]
+
+    return {
+        "version": 1,
+        "genus_per_copy": diagram.genus_per_copy,
+        "num_copies": diagram.num_copies,
+        "path": {
+            "mode": diagram.path.mode.value,
+            "systems": [[slope(s) for s in system] for system in diagram.path.systems],
+        },
+        "blue": [
+            {
+                "copy": c.copy,
+                "coordinate": c.coordinate,
+                "slope": slope(c.slope),
+                "reflected": c.reflected,
+            }
+            for c in diagram.blue
+        ],
+        "red": scaffold(diagram.red),
+        "green": scaffold(diagram.green),
+        "kirby": {
+            "curves": [
+                {
+                    "layer": c.layer,
+                    "coordinate": c.coordinate,
+                    "slope": slope(c.slope),
+                    "framing": _packed(c.framing),
+                }
+                for c in link.curves
+            ],
+            "linking_matrix": [[_packed(x) for x in row] for row in linking_matrix(link.curves)],
+        },
+        "classification": {
+            "raw_untwisted": csum.raw_untwisted,
+            "raw_twisted": csum.raw_twisted,
+            "normal_form": csum.normal_form,
+        },
+        "stats": {
+            "total_genus": diagram.total_genus,
+            "ball_count": diagram.ball_count,
+            "minimal": diagram.total_genus == 2 * csum.total,
+        },
+    }
+
+
 def cofactor_det(rows):
     """Determinant by Laplace expansion along the first row."""
     n = len(rows)

@@ -10,6 +10,7 @@ import random
 import time
 
 import oracles
+from test_construct import random_valid_path
 from spinebound import (
     DualPath,
     LONGITUDE,
@@ -161,11 +162,11 @@ def _random_lens(rng, p_max):
     return LensSpace(p, q)
 
 
-def test_c7_oracle_cross_validation():
-    start = time.perf_counter()
+def c7_walks(resampled: list | None = None):
+    """C7's 200 random walks of genus 1-3; each oversize walk skipped is
+    appended to `resampled`."""
     rng = random.Random(20260810)
     cases = 0
-    resampled = 0
     while cases < 200:
         genus = rng.choice([1, 1, 1, 2, 3])
         parts = [
@@ -177,10 +178,19 @@ def test_c7_oracle_cross_validation():
         else:
             path = path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
         if 2 * path.genus * (path.steps - 1) > 400:
-            # keep the run desk-scale: the dense linking matrix that
-            # kirby_link builds, and the dense oracle below, are O(n^2)
-            resampled += 1
+            # keep the run desk-scale: the dense linking matrix and the
+            # dense oracle of C7 are O(n^2)
+            if resampled is not None:
+                resampled.append(path)
             continue
+        yield path
+        cases += 1
+
+
+def test_c7_oracle_cross_validation():
+    start = time.perf_counter()
+    resampled = []
+    for path in c7_walks(resampled):
         link = kirby_link(path)
         report_ = consistency_check(link, classify(path))
         assert report_.ok, (path, report_.failures)
@@ -196,11 +206,10 @@ def test_c7_oracle_cross_validation():
         assert all(d == 1 for d in report_.invariants.elementary_divisors)
         twisted = report_.classified.raw_twisted >= 1
         assert (report_.invariants.parity.value == "odd") == twisted
-        cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"cross-validation took {elapsed:.2f}s"
     report("C7", f"forms agree with the classifier on 200 random walks "
-                 f"({resampled} oversize walks resampled) in {elapsed:.1f}s")
+                 f"({len(resampled)} oversize walks resampled) in {elapsed:.1f}s")
 
 
 def test_c8_parallel_step_law():
@@ -320,12 +329,9 @@ def test_c9_property_suites():
     report("C9", f"all property suites green in {elapsed:.1f}s")
 
 
-def test_c10_long_walk_consistency():
-    # Walks past C7's order limit, up to order 1000, under a budget the
-    # O(n) congruence, the O(n^2) dense linking matrix of kirby_link and
-    # the O(n^2) dense oracle meet and a dense O(n^3) elimination would not.
-    start = time.perf_counter()
-    long_walks = [
+def c10_walks():
+    """C10's long walks, as (name, walk)."""
+    return [
         ("even walk of L(81,80)", path_from_lens(LensSpace(81, 80), "even")),
         ("even walk of L(501,500)", path_from_lens(LensSpace(501, 500), "even")),
         (
@@ -340,13 +346,21 @@ def test_c10_long_walk_consistency():
             ),
         ),
     ]
+
+
+def test_c10_long_walk_consistency():
+    # Walks past C7's order limit, up to order 1000, under a budget the
+    # O(n) congruence, the O(n^2) dense linking matrix and the O(n^2)
+    # dense oracle meet and a dense O(n^3) elimination would not.
+    start = time.perf_counter()
     orders = []
-    for name, path in long_walks:
+    for name, path in c10_walks():
         link = kirby_link(path)
-        order = len(link.linking_matrix)
+        matrix = link.linking_matrix
+        order = len(matrix)
         report_ = consistency_check(link, classify(path))
         assert report_.ok, (name, report_.failures)
-        assert congruence(link.curves) == oracles.dense_congruence(link.linking_matrix, link.curves)
+        assert congruence(link.curves) == oracles.dense_congruence(matrix, link.curves)
         inv = report_.invariants
         assert inv.signature == 0
         assert inv.rank == order and abs(inv.determinant) == 1
@@ -356,3 +370,15 @@ def test_c10_long_walk_consistency():
     elapsed = time.perf_counter() - start
     assert elapsed < 15.0, f"long-walk consistency took {elapsed:.2f}s"
     report("C10", f"forms agree on long walks of orders {orders} in {elapsed:.1f}s")
+
+
+def test_linking_matrix_is_the_dense_fill():
+    """`FramedLink.linking_matrix`, computed from the curves row by row,
+    equals the dense fill of the oracle on random walks of genus 1-3 and
+    on the walks of C7 and C10."""
+    rng = random.Random(5)
+    walks = [random_valid_path(rng) for _ in range(100)]
+    walks += [*c7_walks(), *(path for _, path in c10_walks())]
+    for path in walks:
+        link = kirby_link(path)
+        assert link.linking_matrix == oracles.linking_matrix(link.curves), path

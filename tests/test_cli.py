@@ -312,7 +312,7 @@ class TestRenderAndVerify:
 
     def test_render_rejects_genus2(self, capsys, tmp_path):
         import spinebound as sb
-        from spinebound.diagrams import _diagram_doc, _dump_json
+        from spinebound.diagrams import _diagram_text
 
         prod = sb.path_product(
             [
@@ -321,9 +321,8 @@ class TestRenderAndVerify:
             ],
             sb.PathMode.PARALLEL,
         )
-        doc = _diagram_doc(sb.build_diagram(prod), sb.kirby_link(prod), sb.classify(prod))
         g2 = tmp_path / "g2.json"
-        g2.write_text(_dump_json(doc))
+        g2.write_text(_diagram_text(sb.build_diagram(prod), sb.kirby_link(prod), sb.classify(prod)))
         code, _, err = run(capsys, "render", str(g2), str(tmp_path / "g2.svg"))
         assert code == 2
         assert "unsupported" in err

@@ -1,4 +1,4 @@
-"""The CLI's file layer: the JSON writer's bytes, pinned diagram digests,
+"""The CLI's file layer: the diagram writer's bytes, pinned diagram digests,
 unwritable output paths and the messages of a failing `verify`."""
 
 import copy
@@ -8,13 +8,15 @@ import sys
 import types
 from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinebound import lens
+from spinebound import build_diagram, classify, diagrams, kirby_link, lens
 from spinebound.cli import main
-from spinebound.diagrams import _difference, _dump_json, _same
+from spinebound.diagrams import _diagram_text, _difference, _same
 from test_cli_total import DIAGRAM, field_paths, replaced
+from test_construct import walks
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
@@ -38,26 +40,14 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(JSON_VALUES)
-def test_dump_json_is_json_dumps_indent_2(value):
-    assert _dump_json(value) == json.dumps(value, indent=2) + "\n"
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        [],
-        {},
-        [[], {}, [[]], {"": {}}],
-        [True, 1, False, 0],
-        [1, True],
-        [2**53 - 1, 2**53, -(2**53), 10**40],
-        {"\x00é\U0001f600": ["\n\t\"\\", None, 1.5, -0.0, 1e300]},
-    ],
-)
-def test_dump_json_edge_values(value):
-    assert _dump_json(value) == json.dumps(value, indent=2) + "\n"
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(walks())
+def test_diagram_text_is_json_dumps_indent_2(path):
+    """The writer's bytes are those of `json.dumps(doc, indent=2)` for the
+    reference document, whose matrix is the oracle's dense fill."""
+    diagram, link, csum = build_diagram(path), kirby_link(path), classify(path)
+    doc = oracles.diagram_doc(diagram, link, csum)
+    assert _diagram_text(diagram, link, csum) == json.dumps(doc, indent=2) + "\n"
 
 
 def run(capsys, *argv):
@@ -230,6 +220,85 @@ def test_verify_prints_json_values(capsys, diagram):
         f"FAIL num_copies: missing, recomputed {copies}",
     ]
     assert lines[2] == f"FAIL kirby.curves[0].framing: file says null, recomputed {json.dumps(framing)}"
+
+
+def test_verify_of_a_built_file_runs_no_differ(capsys, diagram, monkeypatch):
+    """A file whose bytes are the recomputed text verifies without a differ."""
+
+    def no_differ(*args):
+        raise AssertionError("the differ ran on a file that build wrote")
+
+    monkeypatch.setattr(diagrams, "_difference", no_differ)
+    code, stdout, _ = run(capsys, "verify", str(diagram[0]))
+    assert code == 0 and stdout.startswith("OK ")
+
+
+def test_verify_compares_other_files_as_json(capsys, diagram, monkeypatch):
+    """The same document, compact and with its top-level keys reversed, is
+    not the recomputed text; it verifies through the differ."""
+    out, doc = diagram
+    out.write_text(json.dumps(dict(reversed(doc.items()))))
+    keys = []
+
+    def differ(where, got, want):
+        keys.append(where)
+        return _difference(where, got, want)
+
+    monkeypatch.setattr(diagrams, "_difference", differ)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0 and stdout.startswith("OK ")
+    assert keys == list(doc)
+
+
+@pytest.mark.parametrize(
+    "field, line",
+    [
+        ("classification.raw_untwisted", "classification.raw_untwisted: file says 10, recomputed 9"),
+        ("kirby.linking_matrix", "kirby.linking_matrix[0][1]: file says 2, recomputed 1"),
+        ("kirby.curves.framing", "kirby.curves[29].framing: file says -1, recomputed -2"),
+        ("blue.reflected", "blue[0].reflected: file says false, recomputed true"),
+        ("stats.total_genus", "stats.total_genus: file says 32, recomputed 30"),
+    ],
+)
+def test_verify_names_each_benchmark_tamper(capsys, diagram, field, line):
+    """Each tamper of the benchmark's control diagram gives one `FAIL` line,
+    naming the changed field with both values."""
+    inputs = load_inputs()
+    assert field in inputs.TAMPERS
+    assert _verify_edited(capsys, diagram, lambda doc: inputs.tamper(doc, field)) == [f"FAIL {line}"]
+
+
+@pytest.mark.parametrize("spelling", ["1_0", " 10 ", "+10", "\u0661\u0660"])
+def test_integer_fields_are_decimal_digits(capsys, tmp_path, spelling):
+    """A string integer field holds `-?[0-9]+`, as the writer spells one;
+    `int` would read each of these as 10."""
+    walk = {"mode": "dual", "systems": [[{"p": 0, "q": 1}], [{"p": 1, "q": 0}], [{"p": 10, "q": 1}]]}
+    walk_file, out = tmp_path / "w.json", tmp_path / "d.json"
+    walk_file.write_text(json.dumps(walk))
+    assert run(capsys, "build", "--path-file", str(walk_file), "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    walk["systems"][2][0]["p"] = doc["path"]["systems"][2][0]["p"] = spelling
+    walk_file.write_text(json.dumps(walk))
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    code, stdout, err = run(capsys, "build", "--path-file", str(walk_file), "--out", str(tmp_path / "x.json"))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: cannot read walk: expected an integer field, got {spelling!r}\n"
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: cannot read diagram: expected an integer field, got {spelling!r}\n"
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_render_reads_reflected_as_a_boolean(capsys, tmp_path, value):
+    diagram, svg = tmp_path / "d.json", tmp_path / "d.svg"
+    assert run(capsys, "build", "7", "2", "--out", str(diagram))[0] == 0
+    doc = json.loads(diagram.read_text())
+    doc["blue"][1]["reflected"] = value
+    diagram.write_text(json.dumps(doc, indent=2) + "\n")
+    code, stdout, err = run(capsys, "render", str(diagram), str(svg))
+    assert (code, stdout) == (1, "") and not svg.exists()
+    kind = type(value).__name__
+    assert err == f'error: malformed diagram: expected "reflected" to be a boolean, got {kind}\n'
 
 
 def _path_text(keys) -> str:

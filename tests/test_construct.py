@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import oracles
 from spinebound import (
@@ -12,6 +14,7 @@ from spinebound import (
     Slope,
     ViolationKind,
     build_diagram,
+    canonical,
     classify,
     farey_det,
     kirby_link,
@@ -19,7 +22,7 @@ from spinebound import (
     path_product,
     validate_path,
 )
-from spinebound.diagrams import _diagram_doc
+from spinebound.diagrams import _diagram_text
 
 
 def S(text):
@@ -49,6 +52,32 @@ def random_valid_path(rng, genus_max=3, p_max=30):
     if len(parts) == 1:
         return parts[0]
     return path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
+
+
+@st.composite
+def walks(draw):
+    """Valid walks of genus 1-3 in either mode, with slopes beyond 2^53.
+
+    Each coordinate steps from its slope s to k*s + t, where t is the last
+    slope before s that differs from it: dual to s for every integer k.  In
+    parallel mode a coordinate may also repeat, but not all at once.
+    """
+    genus = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(PathMode))
+    ks = st.integers(-3, 3) | st.integers(-(2**40), 2**40)
+    before, systems = [MERIDIAN] * genus, [(MERIDIAN,) * genus, (LONGITUDE,) * genus]
+    for _ in range(draw(st.integers(1, 5))):
+        moves = [True] * genus
+        if mode is PathMode.PARALLEL:
+            moves = draw(st.lists(st.booleans(), min_size=genus, max_size=genus).filter(any))
+        system = []
+        for j, (s, move) in enumerate(zip(systems[-1], moves)):
+            if move:
+                k = draw(ks)
+                s, before[j] = canonical(k * s.p + before[j].p, k * s.q + before[j].q), s
+            system.append(s)
+        systems.append(tuple(system))
+    return DualPath(tuple(systems), mode)
 
 
 class TestPathFromLens:
@@ -326,7 +355,7 @@ class TestClassify:
 
 
 def stats_block(path):
-    return _diagram_doc(build_diagram(path), kirby_link(path), classify(path))["stats"]
+    return json.loads(_diagram_text(build_diagram(path), kirby_link(path), classify(path)))["stats"]
 
 
 class TestDiagramStats:
