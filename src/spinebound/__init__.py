@@ -51,7 +51,7 @@ _LAZY = dict.fromkeys(
         "construct", "BlueCurve", "ConnectSum", "CutSystem", "DualPath", "FramedLink",
         "KirbyCurve", "PathMode", "PathViolation", "ScaffoldCurve", "TrisectionDiagram",
         "ViolationKind", "build_diagram", "classify", "kirby_link", "path_from_lens",
-        "path_product", "validate_path",
+        "validate_path",
     ),
     "construct",
 ) | dict.fromkeys(

@@ -27,7 +27,6 @@ from .farey import (
     LONGITUDE,
     MERIDIAN,
     Slope,
-    canonical,
     farey_det,
 )
 
@@ -172,64 +171,6 @@ def path_from_lens(lens: LensSpace, mode: str = "any") -> DualPath:
     return DualPath(tuple((v,) for v in bound.path.vertices), PathMode.DUAL)
 
 
-def _dual_pad(column: list[Slope], pad: int) -> list[Slope]:
-    """Insert `pad` extra systems after D_1 keeping every step dual.
-
-    Even padding alternates 0/1, 1/0 (framing-0 arrivals only).  Odd
-    padding needs one shim adjacent to both 1/0 and the following slope
-    (c, 1); the candidates are (c - 1, 1) and (c + 1, 1), and an
-    even-framing one is preferred when it exists (it does exactly when c
-    is odd -- the even subgraph is bipartite, so an odd extension of an
-    all-even walk cannot stay even).
-    """
-    if pad == 0:
-        return column
-    insert: list[Slope] = []
-    remaining = pad
-    if pad % 2 == 1:
-        nxt = column[2]
-        if nxt.q != 1:
-            raise ValueError(f"cannot pad before {nxt}; expected a (c, 1) slope after 1/0")
-        cands = [nxt.p - 1, nxt.p + 1]
-        evens = [c for c in cands if c % 2 == 0]
-        shim_p = min(evens, key=abs) if evens else min(cands, key=abs)
-        insert = [canonical(shim_p, 1)]
-        remaining -= 1
-    insert = [MERIDIAN, LONGITUDE] * (remaining // 2) + insert
-    return column[:2] + insert + column[2:]
-
-
-def path_product(parts: list[DualPath], mode: PathMode) -> DualPath:
-    """Combine genus-1 walks coordinatewise into one genus-g walk.
-
-    All columns are brought to the length of the longest part: parallel
-    mode repeats each short column's final slope, strict mode inserts
-    dual padding after D_1 (see :func:`_dual_pad`).  The product's
-    summands are the disjoint union of the parts' plus, in strict mode,
-    one per padding step.
-    """
-    if not parts:
-        raise ValueError("need at least one part")
-    for part in parts:
-        if part.genus != 1:
-            raise ValueError("parts must be genus-1 walks")
-        _require_valid(part)
-    target = max(part.steps for part in parts)
-    columns = []
-    for part in parts:
-        column = [sys_[0] for sys_ in part.systems]
-        pad = target - part.steps
-        if mode is PathMode.PARALLEL:
-            column = column + [column[-1]] * pad
-        else:
-            column = _dual_pad(column, pad)
-        columns.append(column)
-    systems = tuple(tuple(col[i] for col in columns) for i in range(target + 1))
-    product = DualPath(systems, mode)
-    _require_valid(product)
-    return product
-
-
 class BlueCurve(NamedTuple):
     copy: int
     coordinate: int
@@ -250,9 +191,9 @@ class TrisectionDiagram(NamedTuple):
     i = k + 2 ascending to m, then descending back down to 1; layers with
     even path index are flagged reflected.  Red curves are g longitudes
     on the leftmost copy plus g bridges per gap; green are g meridians on
-    the rightmost copy plus g bridges per gap.  For a walk of m systems of
-    genus g, ``total_genus`` is 2g(m - 1) and ``ball_count`` is m - 1 for
-    genus 1 and ``None`` otherwise.
+    the rightmost copy plus g bridges per gap.  For a walk of genus g with
+    m steps (m + 1 systems), ``total_genus`` is 2g(m - 1) and
+    ``ball_count`` is m - 1 for genus 1 and ``None`` otherwise.
     """
 
     genus_per_copy: int

@@ -34,15 +34,17 @@ The proof.
   entries +-1 (the first one is p*q' of the first two curves, 1 for a
   walk from 1/0), zero rows for the repeats and zero across coordinates.
 
-The computation.  Each f_k has at most three terms, so T_kk and the
-entry T_ik between neighbours i < k of a chain are sums of at most nine
-products p_a*q_b with a <= b.  `congruence` computes only these, O(n)
-integers, and never reads M.  The neighbour entries are the b above and
-the first pair's p*q', so checking each against +-1 catches a kept curve
-that is not dual to the one before it; every other entry of T is zero by
-the proof.  The tests keep the dense check: `oracles.dense_congruence`
-multiplies out all n^2 entries of T from M's own entries and names the
-first that breaks the pattern.
+The computation.  `congruence` never reads M: each kept curve costs a
+few 2x2 determinants of slopes, O(n) integers in all.  For a later kept
+curve, f_i is e_i minus curves at or before h, where M f_k vanishes, so
+- T_ik = (M f_k)_i = beta*det(s_i, s_h) = det(s_i, s_k), the b above;
+- T_kk = (M f_k)_k - alpha*b = -alpha*b = det(s_k, s_h)*det(s_k, s_i)*d.
+The first two kept curves have T_kk = p*q and T_ik = p*q'.  Checking
+each neighbour entry against +-1 catches a kept curve that is not dual
+to the one before it; every other entry of T is zero by the proof.  The
+tests keep the dense check: `oracles.dense_congruence` multiplies out
+all n^2 entries of T from M's own entries and names the first that
+breaks the pattern.
 
 The invariants.  A diagonal +-1 congruence makes every off-diagonal 1,
 so a block with diagonal a_1 .. a_L has the leading minors d_k = a_k *
@@ -108,45 +110,37 @@ def congruence(curves: Sequence[KirbyCurve]) -> TridiagonalForm:
     proof makes every other entry zero.  Raises `CongruenceError` naming
     the first entry of P^T M P, in row-major order, outside the pattern.
     """
-    p = [c.slope.p for c in curves]
-    q = [c.slope.q for c in curves]
-
-    def entry(f, g) -> int:
-        """f^T M g for vectors of (index, coefficient) terms in one coordinate."""
-        return sum(x * y * (p[a] * q[b] if a <= b else p[b] * q[a]) for a, x in f for b, y in g)
-
-    kept: dict[int, list[int]] = {}
-    moves = {}  # the terms of f_k for each kept curve k
+    kept: dict[int, list[int]] = {}  # each coordinate's kept curves, in link order
+    blocks: dict[int, list[int]] = {}  # their diagonal entries T_kk
+    neighbours = []  # (i, k, T_ik) for consecutive kept curves i < k
     for k, curve in enumerate(curves):
         chain = kept.setdefault(curve.coordinate, [])
+        diagonal = blocks.setdefault(curve.coordinate, [])
         s = curve.slope
         if chain and curves[chain[-1]].slope == s:
             continue  # f_k = e_k - e_i spans part of the radical: row k of T is zero
         if len(chain) < 2:
-            moves[k] = ((k, 1),)
+            diagonal.append(s.p * s.q)  # the framing
+            if chain:
+                neighbours.append((chain[0], k, curves[chain[0]].slope.p * s.q))
         else:
             i, h = chain[-1], chain[-2]
-            d = farey_det(curves[i].slope, curves[h].slope)
+            si, sh = curves[i].slope, curves[h].slope
+            d = farey_det(si, sh)
             if abs(d) != 1:
                 raise CongruenceError(f"curves {h} and {i} are neither equal nor dual")
-            alpha = farey_det(s, curves[h].slope) * d  # Cramer's rule; 1/d = d
-            beta = farey_det(curves[i].slope, s) * d
-            moves[k] = ((k, 1), (i, -alpha), (h, -beta))
+            diagonal.append(farey_det(s, sh) * farey_det(s, si) * d)
+            neighbours.append((i, k, farey_det(si, s)))
         chain.append(k)
 
-    bad = []
-    for chain in kept.values():
-        for i, k in zip(chain, chain[1:]):
-            t = entry(moves[i], moves[k])
-            if abs(t) != 1:
-                bad.append((i, k, t))
+    bad = [(i, k, t) for i, k, t in neighbours if abs(t) != 1]
     if bad:
         i, k, t = min(bad)
         raise CongruenceError(f"P^T M P entry ({i}, {k}) is {t}, expected +-1")
     return TridiagonalForm(
         order=len(curves),
-        blocks=tuple(tuple(entry(moves[k], moves[k]) for k in chain) for chain in kept.values()),
-        radical=len(curves) - len(moves),
+        blocks=tuple(map(tuple, blocks.values())),
+        radical=len(curves) - sum(map(len, kept.values())),
     )
 
 

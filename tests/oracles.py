@@ -2,7 +2,8 @@
 
 Everything here works by exhaustive scanning or dense elimination, so it
 is slow but obviously correct; tests freeze expected values computed this
-way or compare library output against these directly.
+way or compare library output against these directly.  `path_product`,
+which no command needs, is the tests' generator of genus-g walks.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from spinebound.construct import DualPath
+from spinebound.construct import DualPath, PathMode, _require_valid
 from spinebound.farey import (
     LONGITUDE,
     MERIDIAN,
     DomainError,
+    Slope,
     canonical,
     farey_parents,
     is_even_vertex,
@@ -169,6 +171,64 @@ def blue_layer_path(diagram, mode):
     for k in range(copies // 2):
         systems.append(tuple(by_pos[k, j] for j in range(g)))
     return DualPath(tuple(systems), mode)
+
+
+def _dual_pad(column: list[Slope], pad: int) -> list[Slope]:
+    """Insert `pad` extra systems after D_1 keeping every step dual.
+
+    Even padding alternates 0/1, 1/0 (framing-0 arrivals only).  Odd
+    padding needs one shim adjacent to both 1/0 and the following slope
+    (c, 1); the candidates are (c - 1, 1) and (c + 1, 1), and an
+    even-framing one is preferred when it exists (it does exactly when c
+    is odd -- the even subgraph is bipartite, so an odd extension of an
+    all-even walk cannot stay even).
+    """
+    if pad == 0:
+        return column
+    insert: list[Slope] = []
+    remaining = pad
+    if pad % 2 == 1:
+        nxt = column[2]
+        if nxt.q != 1:
+            raise ValueError(f"cannot pad before {nxt}; expected a (c, 1) slope after 1/0")
+        cands = [nxt.p - 1, nxt.p + 1]
+        evens = [c for c in cands if c % 2 == 0]
+        shim_p = min(evens, key=abs) if evens else min(cands, key=abs)
+        insert = [canonical(shim_p, 1)]
+        remaining -= 1
+    insert = [MERIDIAN, LONGITUDE] * (remaining // 2) + insert
+    return column[:2] + insert + column[2:]
+
+
+def path_product(parts: list[DualPath], mode: PathMode) -> DualPath:
+    """Combine genus-1 walks coordinatewise into one genus-g walk.
+
+    All columns are brought to the length of the longest part: parallel
+    mode repeats each short column's final slope, strict mode inserts
+    dual padding after D_1 (see :func:`_dual_pad`).  The product's
+    summands are the disjoint union of the parts' plus, in strict mode,
+    one per padding step.
+    """
+    if not parts:
+        raise ValueError("need at least one part")
+    for part in parts:
+        if part.genus != 1:
+            raise ValueError("parts must be genus-1 walks")
+        _require_valid(part)
+    target = max(part.steps for part in parts)
+    columns = []
+    for part in parts:
+        column = [sys_[0] for sys_ in part.systems]
+        pad = target - part.steps
+        if mode is PathMode.PARALLEL:
+            column = column + [column[-1]] * pad
+        else:
+            column = _dual_pad(column, pad)
+        columns.append(column)
+    systems = tuple(tuple(col[i] for col in columns) for i in range(target + 1))
+    product = DualPath(systems, mode)
+    _require_valid(product)
+    return product
 
 
 def linking_matrix(curves):

@@ -33,7 +33,6 @@ from spinebound import (
     kirby_link,
     neighbors,
     path_from_lens,
-    path_product,
     twisted_bound,
     untwisted_bound,
 )
@@ -176,7 +175,7 @@ def c7_walks(resampled: list | None = None):
         if genus == 1:
             path = parts[0]
         else:
-            path = path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
+            path = oracles.path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
         if 2 * path.genus * (path.steps - 1) > 400:
             # keep the run desk-scale: the dense linking matrix and the
             # dense oracle of C7 are O(n^2)
@@ -220,7 +219,7 @@ def test_c8_parallel_step_law():
             path_from_lens(_random_lens(rng, 40), rng.choice(["any", "even"]))
             for _ in range(genus)
         ]
-        path = path_product(parts, PathMode.PARALLEL) if genus > 1 else DualPath(
+        path = oracles.path_product(parts, PathMode.PARALLEL) if genus > 1 else DualPath(
             parts[0].systems, PathMode.PARALLEL
         )
         extended = DualPath(path.systems + (path.systems[-1],), PathMode.PARALLEL)
@@ -336,7 +335,7 @@ def c10_walks():
         ("even walk of L(501,500)", path_from_lens(LensSpace(501, 500), "even")),
         (
             "genus-3 dual product",
-            path_product(
+            oracles.path_product(
                 [
                     path_from_lens(LensSpace(21, 20), "even"),
                     path_from_lens(LensSpace(13, 5), "any"),

@@ -314,7 +314,7 @@ class TestRenderAndVerify:
         import spinebound as sb
         from spinebound.diagrams import _diagram_text
 
-        prod = sb.path_product(
+        prod = oracles.path_product(
             [
                 sb.path_from_lens(sb.LensSpace(2, 1), "any"),
                 sb.path_from_lens(sb.LensSpace(3, 2), "even"),

